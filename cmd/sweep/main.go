@@ -47,7 +47,9 @@
 // latency histograms) as JSON; -journal writes a phase-span run journal
 // as JSONL; -trajectory writes per-trial (step, leaders, gap) curves as
 // JSONL; -pprof serves net/http/pprof plus the live snapshot at
-// /metrics; -progress adds a throttled done/total (ETA …) stderr line.
+// /metrics; -progress adds an ETA to the throttled done/total progress
+// reports, which go to stderr as one line per report when stderr is not
+// a terminal.
 // Telemetry never touches the random stream, so the records stay
 // byte-identical with or without it.
 package main
@@ -57,6 +59,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -119,7 +122,7 @@ func main() {
 	flag.StringVar(&c.out, "out", "sweep.jsonl", "JSON Lines output path (empty = skip)")
 	flag.BoolVar(&c.markdown, "markdown", false, "render the summary table as Markdown")
 	flag.BoolVar(&c.quiet, "q", false, "suppress progress output")
-	flag.BoolVar(&c.progress, "progress", false, "live done/total (ETA …) progress line on stderr, throttled")
+	flag.BoolVar(&c.progress, "progress", false, "add an ETA to the done/total progress reports on stderr (and print them even with -q)")
 	flag.StringVar(&c.metrics, "metrics", "", "write the aggregated telemetry snapshot as JSON to this path")
 	flag.StringVar(&c.journal, "journal", "", "write the phase-span run journal as JSONL to this path")
 	flag.StringVar(&c.trajectory, "trajectory", "", "write per-trial (step, leaders, gap) trajectories as JSONL to this path")
@@ -327,16 +330,8 @@ func run(c cliConfig, args []string) error {
 		trajs = sweep.AttachTrajectories(tasks, telemetry.DefaultTrajectorySamples)
 	}
 	pool := runner.Pool{Workers: c.workers, Meter: meter, Journal: journal}
-	switch {
-	case c.progress:
-		pool.Progress = etaProgress(time.Now())
-	case !c.quiet:
-		pool.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d trials", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
+	if c.progress || !c.quiet {
+		pool.Progress = progressPrinter(os.Stderr, isTerminal(os.Stderr), c.progress, time.Now())
 	}
 
 	// Crashed trials (e.g. a protocol rejecting its graph at Reset) are
@@ -469,10 +464,11 @@ type recordSink interface {
 }
 
 // jsonlWriter is the unsharded sink: buffered JSONL in arrival (= grid)
-// order through results.Write's encoding, no checkpointing.
+// order through one results.Encoder, no checkpointing.
 type jsonlWriter struct {
 	f   *os.File
 	buf *bufio.Writer
+	enc *results.Encoder // writes into buf
 }
 
 // newStreamWriter opens the plain JSONL sink.
@@ -481,11 +477,15 @@ func newStreamWriter(path string) (*jsonlWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &jsonlWriter{f: f, buf: bufio.NewWriterSize(f, 64*1024)}, nil
+	buf := bufio.NewWriterSize(f, 64*1024)
+	return &jsonlWriter{f: f, buf: buf, enc: results.NewEncoder(buf)}, nil
 }
 
 func (w *jsonlWriter) Append(_ int, rec results.Record) error {
-	return results.Write(w.buf, []results.Record{rec})
+	if err := w.enc.Encode(&rec); err != nil {
+		return fmt.Errorf("encoding record: %w", err)
+	}
+	return nil
 }
 
 func (w *jsonlWriter) Close() error {
@@ -570,31 +570,56 @@ func recordsRelPath(out, checkpoint string) string {
 	return rel
 }
 
-// etaProgress returns a Progress callback printing a throttled
-// "done/total (ETA …)" line. Callbacks arrive serialized on the pool's
-// reporter goroutine, so the closure state needs no locking; throttling
-// caps the stderr traffic at ~5 lines/sec however fast trials finish,
-// with the final done == total call always printed.
-func etaProgress(start time.Time) func(done, total int) {
+// progressPrinter returns a Progress callback writing "done/total
+// trials" reports to w, at most one per throttle interval, with the
+// final done == total report always printed. Callbacks arrive
+// serialized on the pool's reporter goroutine, so the closure state
+// needs no locking. On a terminal each report rewrites the line in
+// place, five times a second; anywhere else (a log file, a pipe) each
+// is its own line, every two seconds, so the log stays readable. eta
+// adds the estimated time to completion.
+func progressPrinter(w io.Writer, tty, eta bool, start time.Time) func(done, total int) {
+	every := 2 * time.Second
+	if tty {
+		every = 200 * time.Millisecond
+	}
 	var last time.Time
 	return func(done, total int) {
 		now := time.Now()
-		if done < total && now.Sub(last) < 200*time.Millisecond {
+		if done < total && now.Sub(last) < every {
 			return
 		}
 		last = now
-		line := fmt.Sprintf("\rsweep: %d/%d trials", done, total)
-		if done > 0 && done < total {
-			rate := float64(now.Sub(start)) / float64(done)
-			eta := time.Duration(rate * float64(total-done)).Round(time.Second)
-			line += fmt.Sprintf(" (ETA %s)", eta)
-		}
-		// Trailing spaces wipe leftovers of a longer previous line.
-		fmt.Fprint(os.Stderr, line, "        ")
-		if done == total {
-			fmt.Fprintln(os.Stderr)
-		}
+		fmt.Fprint(w, progressLine(done, total, now.Sub(start), tty, eta))
 	}
+}
+
+// progressLine formats one progress report, terminator included: on a
+// terminal a carriage return before the text and padding after it
+// overwrite the previous report, and only the final report ends the
+// line; elsewhere every report is one newline-terminated line.
+func progressLine(done, total int, elapsed time.Duration, tty, eta bool) string {
+	line := fmt.Sprintf("sweep: %d/%d trials", done, total)
+	if eta && done > 0 && done < total {
+		left := time.Duration(float64(elapsed) / float64(done) * float64(total-done))
+		line += fmt.Sprintf(" (ETA %s)", left.Round(time.Second))
+	}
+	if !tty {
+		return line + "\n"
+	}
+	// Trailing spaces wipe leftovers of a longer previous line.
+	line = "\r" + line + "        "
+	if done == total {
+		line += "\n"
+	}
+	return line
+}
+
+// isTerminal reports whether f is a character device such as a
+// terminal, as opposed to a file or a pipe.
+func isTerminal(f *os.File) bool {
+	fi, err := f.Stat()
+	return err == nil && fi.Mode()&os.ModeCharDevice != 0
 }
 
 func splitList(s string) []string {

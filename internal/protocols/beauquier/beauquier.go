@@ -22,6 +22,7 @@ package beauquier
 
 import (
 	"fmt"
+	"sync"
 
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
@@ -118,32 +119,38 @@ func (p *Protocol) State(v int) core.TokenState { return core.TokenState(p.state
 // Table implements sim.Tabular. The six persistent states are the
 // core.TokenState byte values 0..5; the stability functional is
 // #black + #white − 1, which is zero exactly on stable configurations
-// by the invariant #black >= 1. The table is generated by probing Step
-// itself over every state pair, so the hand-written transition remains
-// the single source of truth.
+// by the invariant #black >= 1. Unless UseTable installed one, every
+// instance returns the same table, built once per process by probing
+// Step itself over every state pair, so the hand-written transition
+// remains the single source of truth.
 func (p *Protocol) Table() *core.TransitionTable {
-	if p.table == nil {
-		tab, err := core.NewTransitionTable(6,
-			func(a, b uint8) (uint8, uint8) {
-				probe := &Protocol{states: []uint8{a, b}}
-				probe.Step(0, 1)
-				return probe.states[0], probe.states[1]
-			},
-			func(s uint8) core.Role { return core.TokenState(s).Role() },
-			func(s uint8) int {
-				if tok := core.TokenState(s).Token(); tok == core.TokenBlack || tok == core.TokenWhite {
-					return 1
-				}
-				return 0
-			},
-			1)
-		if err != nil {
-			panic("beauquier: " + err.Error())
-		}
-		p.table = tab
+	if p.table != nil {
+		return p.table
 	}
-	return p.table
+	return sharedTable()
 }
+
+// sharedTable is the process-wide probe-built table.
+var sharedTable = sync.OnceValue(func() *core.TransitionTable {
+	tab, err := core.NewTransitionTable(6,
+		func(a, b uint8) (uint8, uint8) {
+			probe := &Protocol{states: []uint8{a, b}}
+			probe.Step(0, 1)
+			return probe.states[0], probe.states[1]
+		},
+		func(s uint8) core.Role { return core.TokenState(s).Role() },
+		func(s uint8) int {
+			if tok := core.TokenState(s).Token(); tok == core.TokenBlack || tok == core.TokenWhite {
+				return 1
+			}
+			return 0
+		},
+		1)
+	if err != nil {
+		panic("beauquier: " + err.Error())
+	}
+	return tab
+})
 
 // UseTable installs a previously compiled transition table (revived
 // from a binary snapshot) so Table returns it without re-probing Step.

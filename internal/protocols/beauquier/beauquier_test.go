@@ -199,3 +199,44 @@ func TestStabilityIsPermanent(t *testing.T) {
 		t.Fatal("leader count changed after stability")
 	}
 }
+
+// TestTableMatchesStep — the table agrees with the hand-written Step on
+// every state pair, roles and stability weights included, and is built
+// once: every instance, with or without a candidate set, returns the
+// same table.
+func TestTableMatchesStep(t *testing.T) {
+	tab := New().Table()
+	if tab == nil || tab.K() != 6 {
+		t.Fatalf("table %+v, want a 6-state machine", tab)
+	}
+	if New().Table() != tab || NewWithCandidates([]int{0, 2}).Table() != tab {
+		t.Fatal("two instances returned different tables")
+	}
+	for a := uint8(0); a < 6; a++ {
+		if tab.Role(a) != core.TokenState(a).Role() {
+			t.Fatalf("state %d role %v, want %v", a, tab.Role(a), core.TokenState(a).Role())
+		}
+		for b := uint8(0); b < 6; b++ {
+			probe := &Protocol{states: []uint8{a, b}}
+			probe.Step(0, 1)
+			na, nb := tab.Next(a, b)
+			if na != probe.states[0] || nb != probe.states[1] {
+				t.Fatalf("(%d,%d): table (%d,%d), Step (%d,%d)", a, b, na, nb, probe.states[0], probe.states[1])
+			}
+		}
+	}
+	// The stability functional is #black + #white − 1.
+	black, white := uint8(core.CandidateBlack), uint8(core.FollowerWhite)
+	for _, c := range []struct {
+		states []uint8
+		stable bool
+	}{
+		{[]uint8{black, black}, false},
+		{[]uint8{black, white}, false},
+		{[]uint8{black, uint8(core.FollowerNone)}, true},
+	} {
+		if _, gap := tab.Counters(c.states); (gap == 0) != c.stable {
+			t.Fatalf("%v: gap %d, want stable=%v", c.states, gap, c.stable)
+		}
+	}
+}

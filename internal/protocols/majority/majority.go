@@ -34,6 +34,7 @@ package majority
 
 import (
 	"fmt"
+	"sync"
 
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
@@ -57,7 +58,7 @@ type Protocol struct {
 	states []uint8
 
 	counts [4]int
-	table  *core.TransitionTable
+	margin int // #ones − #zeros of inputs
 }
 
 var _ sim.Tabular = (*Protocol)(nil)
@@ -65,7 +66,13 @@ var _ sim.Tabular = (*Protocol)(nil)
 // New returns the protocol with the given initial opinions (length must
 // equal the graph size at Reset; must not be a tie).
 func New(inputs []bool) *Protocol {
-	return &Protocol{inputs: append([]bool(nil), inputs...)}
+	ones := 0
+	for _, b := range inputs {
+		if b {
+			ones++
+		}
+	}
+	return &Protocol{inputs: append([]bool(nil), inputs...), margin: 2*ones - len(inputs)}
 }
 
 // Name identifies the protocol.
@@ -74,24 +81,13 @@ func (p *Protocol) Name() string { return "four-state-majority" }
 // StateCount returns 4.
 func (p *Protocol) StateCount(int) float64 { return 4 }
 
-// margin returns #ones − #zeros of the input opinions.
-func (p *Protocol) margin() int {
-	ones := 0
-	for _, b := range p.inputs {
-		if b {
-			ones++
-		}
-	}
-	return 2*ones - len(p.inputs)
-}
-
 // Reset initializes every node to a strong copy of its input opinion.
 func (p *Protocol) Reset(g graph.Graph, _ *xrand.Rand) {
 	n := g.N()
 	if len(p.inputs) != n {
 		panic(fmt.Sprintf("majority: %d inputs for %d nodes", len(p.inputs), n))
 	}
-	if p.margin() == 0 {
+	if p.margin == 0 {
 		panic("majority: tie inputs never stabilize; supply a strict majority")
 	}
 	p.states = make([]uint8, n)
@@ -185,45 +181,56 @@ func (p *Protocol) Stable() bool {
 // strong difference keeps the winning side's strong count positive, so
 // "no loser left" is exactly Stable() on every reachable configuration.
 // The sign, and hence the table, is fixed by the inputs; tie inputs
-// return nil (Reset rejects them anyway). Generated by probing Step
-// over every state pair.
+// return nil (Reset rejects them anyway). There are two tables, one per
+// winning opinion, each built once per process by probing Step over
+// every state pair and shared by every instance.
 func (p *Protocol) Table() *core.TransitionTable {
-	d := p.margin()
-	if d == 0 {
-		return nil
+	switch {
+	case p.margin > 0:
+		return onesWinTable()
+	case p.margin < 0:
+		return zerosWinTable()
 	}
-	if p.table == nil {
-		losing := func(s uint8) bool {
-			if d > 0 {
-				return s == weak0 || s == strong0
+	return nil
+}
+
+var (
+	onesWinTable  = sync.OnceValue(func() *core.TransitionTable { return buildTable(true) })
+	zerosWinTable = sync.OnceValue(func() *core.TransitionTable { return buildTable(false) })
+)
+
+// buildTable probes Step for the table of inputs whose majority opinion
+// is 1 (onesWin) or 0.
+func buildTable(onesWin bool) *core.TransitionTable {
+	losing := func(s uint8) bool {
+		if onesWin {
+			return s == weak0 || s == strong0
+		}
+		return s == weak1 || s == strong1
+	}
+	tab, err := core.NewTransitionTable(4,
+		func(a, b uint8) (uint8, uint8) {
+			probe := &Protocol{states: []uint8{a, b}}
+			probe.Step(0, 1)
+			return probe.states[0], probe.states[1]
+		},
+		func(s uint8) core.Role {
+			if s == weak1 || s == strong1 {
+				return core.Leader
 			}
-			return s == weak1 || s == strong1
-		}
-		tab, err := core.NewTransitionTable(4,
-			func(a, b uint8) (uint8, uint8) {
-				probe := &Protocol{states: []uint8{a, b}}
-				probe.Step(0, 1)
-				return probe.states[0], probe.states[1]
-			},
-			func(s uint8) core.Role {
-				if s == weak1 || s == strong1 {
-					return core.Leader
-				}
-				return core.Follower
-			},
-			func(s uint8) int {
-				if losing(s) {
-					return 1
-				}
-				return 0
-			},
-			0)
-		if err != nil {
-			panic("majority: " + err.Error())
-		}
-		p.table = tab
+			return core.Follower
+		},
+		func(s uint8) int {
+			if losing(s) {
+				return 1
+			}
+			return 0
+		},
+		0)
+	if err != nil {
+		panic("majority: " + err.Error())
 	}
-	return p.table
+	return tab
 }
 
 // TableStates implements sim.Tabular: the live state bytes, aliased.

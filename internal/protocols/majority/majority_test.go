@@ -188,13 +188,17 @@ func TestCountersMatchScans(t *testing.T) {
 // TestTableMatchesStep — the per-sign generated tables agree with the
 // hand-written transition on every state pair, and their stability
 // functional (no losing-side nodes left) matches Stable on reachable
-// configurations of either sign.
+// configurations of either sign. Each sign's table is built once:
+// instances with the same majority share it, whatever their size.
 func TestTableMatchesStep(t *testing.T) {
 	for _, ones := range []int{3, 1} { // majority-1 and majority-0 inputs
 		p := New(inputsWithOnes(4, ones))
 		tab := p.Table()
 		if tab == nil || tab.K() != 4 {
 			t.Fatalf("ones=%d: table %+v, want a 4-state machine", ones, tab)
+		}
+		if other := New(inputsWithOnes(7, 2*ones-1)).Table(); other != tab {
+			t.Fatalf("ones=%d: same-sign instances returned different tables", ones)
 		}
 		for a := uint8(0); a < 4; a++ {
 			for b := uint8(0); b < 4; b++ {

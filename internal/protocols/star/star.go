@@ -16,6 +16,7 @@ package star
 
 import (
 	"fmt"
+	"sync"
 
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
@@ -112,35 +113,41 @@ func (p *Protocol) Stable() bool { return p.leaders == 1 }
 
 // Table implements sim.Tabular. The stability functional is the leader
 // count itself with target 1 — on stars leaders only ever reaches one.
-// Generated by probing Step over every state pair.
+// Unless UseTable installed one, every instance returns the same table,
+// built once per process by probing Step over every state pair.
 func (p *Protocol) Table() *core.TransitionTable {
-	if p.table == nil {
-		tab, err := core.NewTransitionTable(3,
-			func(a, b uint8) (uint8, uint8) {
-				probe := &Protocol{states: []uint8{a, b}}
-				probe.Step(0, 1)
-				return probe.states[0], probe.states[1]
-			},
-			func(s uint8) core.Role {
-				if s == leader {
-					return core.Leader
-				}
-				return core.Follower
-			},
-			func(s uint8) int {
-				if s == leader {
-					return 1
-				}
-				return 0
-			},
-			1)
-		if err != nil {
-			panic("star: " + err.Error())
-		}
-		p.table = tab
+	if p.table != nil {
+		return p.table
 	}
-	return p.table
+	return sharedTable()
 }
+
+// sharedTable is the process-wide probe-built table.
+var sharedTable = sync.OnceValue(func() *core.TransitionTable {
+	tab, err := core.NewTransitionTable(3,
+		func(a, b uint8) (uint8, uint8) {
+			probe := &Protocol{states: []uint8{a, b}}
+			probe.Step(0, 1)
+			return probe.states[0], probe.states[1]
+		},
+		func(s uint8) core.Role {
+			if s == leader {
+				return core.Leader
+			}
+			return core.Follower
+		},
+		func(s uint8) int {
+			if s == leader {
+				return 1
+			}
+			return 0
+		},
+		1)
+	if err != nil {
+		panic("star: " + err.Error())
+	}
+	return tab
+})
 
 // UseTable installs a previously compiled transition table (revived
 // from a binary snapshot) so Table returns it without re-probing Step.

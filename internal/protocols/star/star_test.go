@@ -107,12 +107,16 @@ func TestCountersMatchScans(t *testing.T) {
 }
 
 // TestTableMatchesStep — the generated transition table agrees with the
-// hand-written Step on every state pair, roles and counters included.
+// hand-written Step on every state pair, roles and counters included,
+// and is built once: every instance returns the same table.
 func TestTableMatchesStep(t *testing.T) {
 	p := New()
 	tab := p.Table()
 	if tab == nil || tab.K() != 3 {
 		t.Fatalf("table %+v, want a 3-state machine", tab)
+	}
+	if New().Table() != tab {
+		t.Fatal("two instances returned different tables")
 	}
 	for a := uint8(0); a < 3; a++ {
 		wantRole := core.Follower

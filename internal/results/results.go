@@ -80,7 +80,7 @@ func (r Record) Key() Key {
 // records are written in slice order with fixed field order.
 func Write(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	enc := NewEncoder(bw)
 	for i := range recs {
 		if err := enc.Encode(&recs[i]); err != nil {
 			return fmt.Errorf("results: encoding record %d: %w", i, err)
@@ -88,6 +88,18 @@ func Write(w io.Writer, recs []Record) error {
 	}
 	return bw.Flush()
 }
+
+// Encoder writes records one JSON line at a time, byte-identical to
+// Write. Streaming sinks keep one per output rather than paying Write's
+// buffer and encoder for every record.
+type Encoder struct{ enc *json.Encoder }
+
+// NewEncoder returns an Encoder writing to w. Each Encode makes exactly
+// one Write call on w, with the whole line.
+func NewEncoder(w io.Writer) *Encoder { return &Encoder{json.NewEncoder(w)} }
+
+// Encode writes rec as one line.
+func (e *Encoder) Encode(rec *Record) error { return e.enc.Encode(rec) }
 
 // Read decodes a JSON Lines stream previously produced by Write. Blank
 // lines are skipped; any malformed line is an error.

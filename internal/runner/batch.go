@@ -21,9 +21,6 @@ package runner
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"popgraph/internal/sim"
@@ -72,119 +69,27 @@ func (p Pool) StreamBatched(jobs []Job, batch int, group func(i int) int, emit f
 		units = append(units, unit{s, e})
 		s = e
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
+	workers := p.workers(len(units))
 	endBatch := p.Journal.Span("run", map[string]any{
 		"trials": len(jobs), "workers": workers, "batch": batch, "units": len(units)})
 	defer endBatch()
-	var (
-		start        = time.Now()
-		next   int64 = -1
-		done   atomic.Int64
-		notify chan struct{}
-		wg     sync.WaitGroup
-		repWG  sync.WaitGroup
-		emitWG sync.WaitGroup
-	)
-	// The drainer reorders unit completions into unit order; units tile
-	// the job list in ascending contiguous ranges, so flushing units in
-	// order and members in range order is exactly job order.
-	type completion struct {
-		u  int
-		os []Outcome
-	}
-	completions := make(chan completion, workers)
-	emitWG.Add(1)
-	go func() {
-		defer emitWG.Done()
-		pending := make(map[int][]Outcome)
-		flush := 0
-		for c := range completions {
-			pending[c.u] = c.os
-			for {
-				os, ok := pending[flush]
-				if !ok {
-					break
-				}
-				delete(pending, flush)
-				for k, o := range os {
-					emit(units[flush].start+k, o)
-				}
-				flush++
+	// Units tile the job list in ascending contiguous ranges, so
+	// delivering units in order and members in range order is exactly
+	// job order.
+	schedule(p, workers, len(units), len(jobs), func(u int, shard *telemetry.Counters, queueWait int64) ([]Outcome, int) {
+		os := runUnit(jobs[units[u].start:units[u].end], shard)
+		for k := range os {
+			os[k].QueueWaitNs = queueWait
+			if shard != nil {
+				shard.AddTrial(os[k].ElapsedNs, queueWait, os[k].Result.Stabilized, os[k].Failed())
 			}
 		}
-	}()
-	if p.Progress != nil {
-		notify = make(chan struct{}, 1)
-		repWG.Add(1)
-		go func() {
-			defer repWG.Done()
-			last := int64(0)
-			report := func() {
-				if d := done.Load(); d > last {
-					last = d
-					p.Progress(int(d), len(jobs))
-				}
-			}
-			for range notify {
-				report()
-			}
-			report()
-		}()
-	}
-	shards := make([]*telemetry.Counters, workers)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		var shard *telemetry.Counters
-		if p.Meter != nil {
-			shard = new(telemetry.Counters)
-			shards[w] = shard
+		return os, len(os)
+	}, func(u int, os []Outcome) {
+		for k, o := range os {
+			emit(units[u].start+k, o)
 		}
-		go func() {
-			defer wg.Done()
-			for {
-				u := int(atomic.AddInt64(&next, 1))
-				if u >= len(units) {
-					return
-				}
-				queueWait := time.Since(start).Nanoseconds()
-				os := runUnit(jobs[units[u].start:units[u].end], shard)
-				for k := range os {
-					os[k].QueueWaitNs = queueWait
-					if shard != nil {
-						shard.AddTrial(os[k].ElapsedNs, queueWait, os[k].Result.Stabilized, os[k].Failed())
-					}
-				}
-				completions <- completion{u, os}
-				done.Add(int64(len(os)))
-				if notify != nil {
-					select {
-					case notify <- struct{}{}:
-					default:
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(completions)
-	emitWG.Wait()
-	if notify != nil {
-		close(notify)
-		repWG.Wait()
-	}
-	if p.Meter != nil {
-		for _, s := range shards {
-			if s != nil {
-				p.Meter.Merge(s.Snapshot())
-			}
-		}
-	}
+	})
 }
 
 // runUnit executes one replicate group through RunBatch. The plan is

@@ -116,64 +116,84 @@ func (p Pool) Run(jobs []Job) []Outcome {
 }
 
 // Stream executes all jobs and delivers each outcome exactly once via
-// emit — serialized on a single goroutine, in job order, as soon as the
-// outcome and all its predecessors are available. This is the
+// emit — serialized on the calling goroutine, in job order, as soon as
+// the outcome and all its predecessors are available. This is the
 // cell-completion seam streaming consumers build on: a JSONL writer can
 // flush record i the moment trials 0..i have finished (no end-of-batch
 // buffering), and a checkpoint can mark cell i completed knowing every
-// earlier cell already flushed. Workers never block on emit; outcomes
-// completing ahead of a straggler buffer in a reorder window (bounded by
-// the batch in the worst case, by the in-flight spread in practice).
-// Stream blocks until every job has finished and been delivered.
+// earlier cell already flushed.
+//
+// Outcomes completing ahead of a straggler or of a slow emit wait in a
+// reorder window of 1024 slots (see window). A worker blocks only
+// before starting a job that is a full window ahead of the next outcome
+// to emit, so at most 1024 outcomes are ever buffered, and emit is
+// never called with a lock held. Stream blocks until every job has
+// finished and been delivered.
 func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if len(jobs) == 0 {
+	workers := p.workers(len(jobs))
+	if workers == 0 {
 		return
 	}
 	endBatch := p.Journal.Span("run", map[string]any{"trials": len(jobs), "workers": workers})
 	defer endBatch()
-	var (
-		start        = time.Now()
-		next   int64 = -1
-		done   atomic.Int64
-		notify chan struct{}
-		wg     sync.WaitGroup
-		repWG  sync.WaitGroup
-		emitWG sync.WaitGroup
-	)
-	// The drainer goroutine owns all emit calls: it reorders completions
-	// into job order and flushes every ready prefix, so emit sees a
-	// strictly sequential 0,1,2,... stream whatever order workers finish
-	// in.
-	type completion struct {
-		i int
-		o Outcome
-	}
-	completions := make(chan completion, workers)
-	emitWG.Add(1)
-	go func() {
-		defer emitWG.Done()
-		pending := make(map[int]Outcome)
-		flush := 0
-		for c := range completions {
-			pending[c.i] = c.o
-			for {
-				o, ok := pending[flush]
-				if !ok {
-					break
-				}
-				delete(pending, flush)
-				emit(flush, o)
-				flush++
-			}
+	schedule(p, workers, len(jobs), len(jobs), func(i int, shard *telemetry.Counters, queueWait int64) (Outcome, int) {
+		j := jobs[i]
+		if shard != nil && j.Opts.Meter == nil {
+			j.Opts.Meter = shard
 		}
-	}()
+		t0 := time.Now()
+		o := runOne(j)
+		o.ElapsedNs = time.Since(t0).Nanoseconds()
+		o.QueueWaitNs = queueWait
+		if shard != nil {
+			shard.AddTrial(o.ElapsedNs, o.QueueWaitNs, o.Result.Stabilized, o.Failed())
+		}
+		return o, 1
+	}, emit)
+}
+
+// window is the reorder window of Stream and StreamBatched, in
+// scheduling units (one job for Stream, one replicate group for
+// StreamBatched): the most units that may be claimed ahead of the next
+// one to be delivered. It bounds the buffered outcomes at window jobs
+// (window·batch for StreamBatched) whatever the emit speed — 64 KiB of
+// Outcomes for Stream — and is wide enough that workers reach it only
+// when emit itself is the bottleneck, not when one trial straggles or
+// one emit call is slow.
+const window = 1024
+
+// workers resolves the pool's worker count for n units: Workers, or
+// GOMAXPROCS(0) when unset, capped at n.
+func (p Pool) workers(n int) int {
+	w := p.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return min(w, n)
+}
+
+// schedule runs units 0..units-1 on workers goroutines and passes each
+// unit's result to deliver in unit order on the calling goroutine. run
+// executes one unit on a worker, given the worker's telemetry shard
+// (nil without a pool meter) and the unit's queue wait in nanoseconds,
+// and returns the result with the number of trials it completed, which
+// drives Progress towards trials. Stream and StreamBatched differ only
+// in what a unit is.
+func schedule[T any](p Pool, workers, units, trials int,
+	run func(u int, shard *telemetry.Counters, queueWait int64) (T, int),
+	deliver func(u int, v T)) {
+	var (
+		start = time.Now()
+		h     = newHandoff[T](units)
+		done  atomic.Int64
+		wg    sync.WaitGroup
+		repWG sync.WaitGroup
+	)
+	// A panicking deliver unwinds through here; stop lets the workers
+	// finish their current unit and exit instead of waiting for window
+	// space forever.
+	defer h.stop()
+	var notify chan struct{}
 	if p.Progress != nil {
 		// The reporter goroutine owns all Progress calls: workers only
 		// bump the atomic counter and poke the buffered channel (never
@@ -190,7 +210,7 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 			report := func() {
 				if d := done.Load(); d > last {
 					last = d
-					p.Progress(int(d), len(jobs))
+					p.Progress(int(d), trials)
 				}
 			}
 			for range notify {
@@ -201,33 +221,17 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 	}
 	shards := make([]*telemetry.Counters, workers)
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		var shard *telemetry.Counters
+	for w := range shards {
 		if p.Meter != nil {
-			shard = new(telemetry.Counters)
-			shards[w] = shard
+			shards[w] = new(telemetry.Counters)
 		}
+		shard := shards[w]
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				if shard != nil && j.Opts.Meter == nil {
-					j.Opts.Meter = shard
-				}
-				queueWait := time.Since(start)
-				t0 := time.Now()
-				o := runOne(j)
-				o.ElapsedNs = time.Since(t0).Nanoseconds()
-				o.QueueWaitNs = queueWait.Nanoseconds()
-				if shard != nil {
-					shard.AddTrial(o.ElapsedNs, o.QueueWaitNs, o.Result.Stabilized, o.Failed())
-				}
-				completions <- completion{i, o}
-				done.Add(1)
+			for u := h.claim(); u >= 0; u = h.claim() {
+				v, n := run(u, shard, time.Since(start).Nanoseconds())
+				h.put(u, v)
+				done.Add(int64(n))
 				if notify != nil {
 					select {
 					case notify <- struct{}{}:
@@ -237,20 +241,118 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 			}
 		}()
 	}
+	for h.base < units {
+		lo, hi := h.take()
+		for u := lo; u < hi; u++ {
+			deliver(u, h.slots[u%len(h.slots)])
+		}
+		h.release(lo, hi)
+	}
 	wg.Wait()
-	close(completions)
-	emitWG.Wait()
 	if notify != nil {
 		close(notify)
 		repWG.Wait()
 	}
 	if p.Meter != nil {
 		for _, s := range shards {
-			if s != nil {
-				p.Meter.Merge(s.Snapshot())
-			}
+			p.Meter.Merge(s.Snapshot())
 		}
 	}
+}
+
+// handoff is the reorder window between the workers and the delivering
+// goroutine: a ring of slots indexed by unit number modulo its length.
+// Unit u may be claimed only while u < base+len(slots), so each slot
+// belongs to one unit at a time and is rewritten only after release
+// has delivered and freed it. That is what lets the deliverer read
+// ready slots outside the lock.
+type handoff[T any] struct {
+	mu      sync.Mutex
+	space   sync.Cond // broadcast when base advances or the handoff stops
+	filled  sync.Cond // signalled when slot base becomes ready
+	slots   []T
+	ready   []bool
+	next    int // next unit to claim
+	base    int // next unit to deliver; written only by the deliverer
+	units   int
+	stopped bool
+}
+
+func newHandoff[T any](units int) *handoff[T] {
+	w := min(window, units)
+	h := &handoff[T]{slots: make([]T, w), ready: make([]bool, w), units: units}
+	h.space.L = &h.mu
+	h.filled.L = &h.mu
+	return h
+}
+
+// claim returns the next unit to run, waiting while it lies a full
+// window ahead of delivery, or -1 when no units remain.
+func (h *handoff[T]) claim() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.stopped || h.next >= h.units {
+		return -1
+	}
+	u := h.next
+	h.next++
+	for u >= h.base+len(h.slots) && !h.stopped {
+		h.space.Wait()
+	}
+	if h.stopped {
+		return -1
+	}
+	return u
+}
+
+// put stores unit u's result in its slot.
+func (h *handoff[T]) put(u int, v T) {
+	h.mu.Lock()
+	h.slots[u%len(h.slots)] = v
+	h.ready[u%len(h.slots)] = true
+	if u == h.base {
+		h.filled.Signal()
+	}
+	h.mu.Unlock()
+}
+
+// take waits for unit base to be ready and returns the ready run
+// [lo, hi) starting there.
+func (h *handoff[T]) take() (lo, hi int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	w := len(h.slots)
+	for !h.ready[h.base%w] {
+		h.filled.Wait()
+	}
+	lo, hi = h.base, h.base+1
+	for hi < h.units && hi < lo+w && h.ready[hi%w] {
+		hi++
+	}
+	return lo, hi
+}
+
+// release frees the slots of the delivered units [lo, hi) and wakes
+// workers waiting for window space.
+func (h *handoff[T]) release(lo, hi int) {
+	h.mu.Lock()
+	var zero T
+	for u := lo; u < hi; u++ {
+		h.slots[u%len(h.slots)] = zero
+		h.ready[u%len(h.slots)] = false
+	}
+	h.base = hi
+	h.space.Broadcast()
+	h.mu.Unlock()
+}
+
+// stop makes every waiting and future claim return -1. After a normal
+// drain all units are claimed and it changes nothing.
+func (h *handoff[T]) stop() {
+	h.mu.Lock()
+	h.stopped = true
+	h.space.Broadcast()
+	h.mu.Unlock()
 }
 
 // Run executes jobs with the default pool (one worker per CPU).

@@ -392,3 +392,42 @@ func TestMergeRejectsIncompleteOrMixedShards(t *testing.T) {
 		t.Fatalf("mixed sweeps: %v", err)
 	}
 }
+
+// TestWriterMatchesResultsWrite — the writer's one reused encoder emits
+// exactly results.Write's bytes, including the HTML escaping of <, >
+// and & in an error message and the trailing timing fields.
+func TestWriterMatchesResultsWrite(t *testing.T) {
+	recs := []results.Record{
+		{Graph: "clique-8", N: 8, M: 28, Protocol: "six-state", Seed: 1, Steps: 40, Stabilized: true, Leader: 3,
+			ElapsedNs: 1200, QueueWaitNs: 7},
+		{Graph: "clique-8", N: 8, M: 28, Protocol: "star-trivial", Trial: 1, Seed: 2, Leader: -1,
+			Error: `star: graph "clique-8" is not a star <degree 7> & more`},
+	}
+	var want bytes.Buffer
+	if err := results.Write(&want, recs); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "s.jsonl")
+	w, _, err := Open(out, "", Manifest{Schema: ManifestSchema, Of: 1, TotalCells: len(recs), Records: out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		if err := w.Append(i, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("writer bytes\n%s\nresults.Write bytes\n%s", got, want.Bytes())
+	}
+	if !bytes.Contains(got, []byte(`\u003cdegree 7\u003e \u0026 more`)) {
+		t.Fatalf("error field not HTML-escaped: %s", got)
+	}
+}

@@ -2,8 +2,6 @@ package shard
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -24,6 +22,7 @@ import (
 type Writer struct {
 	out          *os.File
 	buf          *bufio.Writer
+	enc          *results.Encoder // writes into buf
 	manifest     Manifest
 	manifestPath string // "" disables checkpointing
 }
@@ -53,8 +52,7 @@ func Open(outPath, manifestPath string, base Manifest) (*Writer, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	w.out = out
-	w.buf = bufio.NewWriter(out)
+	w.setOutput(out)
 	if manifestPath != "" {
 		// Checkpoint the empty state up front so a kill before the first
 		// cell still leaves a resumable manifest.
@@ -64,6 +62,13 @@ func Open(outPath, manifestPath string, base Manifest) (*Writer, int, error) {
 		}
 	}
 	return w, 0, nil
+}
+
+// setOutput directs the writer's records into out.
+func (w *Writer) setOutput(out *os.File) {
+	w.out = out
+	w.buf = bufio.NewWriter(out)
+	w.enc = results.NewEncoder(w.buf)
 }
 
 // resume validates the previous checkpoint against the requested run and
@@ -103,8 +108,7 @@ func (w *Writer) resume(outPath string, prev Manifest) (*Writer, int, error) {
 		out.Close()
 		return nil, 0, err
 	}
-	w.out = out
-	w.buf = bufio.NewWriter(out)
+	w.setOutput(out)
 	w.manifest = prev
 	return w, len(prev.Completed), nil
 }
@@ -153,12 +157,11 @@ func (w *Writer) Append(global int, rec results.Record) error {
 	if w.manifest.NoTiming {
 		rec.ElapsedNs, rec.QueueWaitNs = 0, 0
 	}
-	line, err := encodeRecord(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := w.buf.Write(line); err != nil {
-		return err
+	// One Encode is one whole-line write into buf, the same bytes
+	// results.Write produces, so shard files concatenate into a
+	// byte-identical solo log.
+	if err := w.enc.Encode(&rec); err != nil {
+		return fmt.Errorf("shard: encoding record: %w", err)
 	}
 	// The line must be durable in the file before the manifest claims
 	// it; buffering exists only to batch the syscalls within one line.
@@ -184,16 +187,4 @@ func (w *Writer) Close() error {
 		return err
 	}
 	return w.out.Close()
-}
-
-// encodeRecord renders one record exactly as results.Write does — same
-// encoder, one line, trailing newline — so shard files concatenate into
-// a byte-identical solo log.
-func encodeRecord(rec results.Record) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(&rec); err != nil {
-		return nil, fmt.Errorf("shard: encoding record: %w", err)
-	}
-	return buf.Bytes(), nil
 }

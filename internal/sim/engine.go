@@ -73,7 +73,13 @@ type rngBlock struct {
 	refills int64
 }
 
-func newRngBlock() rngBlock { return rngBlock{k: rngBlockSize} }
+// reset readies the block for a new run: empty, so the first next
+// refills it. buf keeps its old contents — refill overwrites all of it
+// before any value is read — so a recycled kernel (see runScratch)
+// skips clearing 4 KiB per run.
+func (b *rngBlock) reset() {
+	b.k, b.saved, b.filled, b.refills = rngBlockSize, xrand.State{}, false, 0
+}
 
 // next returns the next stream value, refilling the block when
 // exhausted. The hot path is a bounds-elided load and an increment; the
@@ -137,15 +143,15 @@ type denseKernel struct {
 	drops  int64
 }
 
-func newDenseKernel(g *graph.Dense, drop float64) *denseKernel {
+// init sets every field for a run of g; the kernel inits below follow
+// the same rule, so recycled kernels carry nothing over but buffer
+// contents refill overwrites.
+func (kn *denseKernel) init(g *graph.Dense, drop float64) {
 	twoM := uint64(2 * g.M())
-	return &denseKernel{
-		blk:    newRngBlock(),
-		edges:  g.PackedEdges(),
-		twoM:   twoM,
-		thresh: -twoM % twoM,
-		drop:   drop,
-	}
+	kn.blk.reset()
+	kn.edges = g.PackedEdges()
+	kn.twoM, kn.thresh = twoM, -twoM%twoM
+	kn.drop, kn.drops = drop, 0
 }
 
 //popcheck:kernel
@@ -189,17 +195,13 @@ type cliqueKernel struct {
 	drops    int64
 }
 
-func newCliqueKernel(g graph.Clique, drop float64) *cliqueKernel {
+func (kn *cliqueKernel) init(g graph.Clique, drop float64) {
 	n := uint64(g.N())
 	n1 := n - 1
-	return &cliqueKernel{
-		blk:      newRngBlock(),
-		n:        n,
-		n1:       n1,
-		threshN:  -n % n,
-		threshN1: -n1 % n1,
-		drop:     drop,
-	}
+	kn.blk.reset()
+	kn.n, kn.n1 = n, n1
+	kn.threshN, kn.threshN1 = -n%n, -n1%n1
+	kn.drop, kn.drops = drop, 0
 }
 
 //popcheck:kernel
@@ -253,18 +255,13 @@ type weightedKernel struct {
 	drops  int64
 }
 
-func newWeightedKernel(s *Weighted, drop float64) *weightedKernel {
+func (kn *weightedKernel) init(s *Weighted, drop float64) {
 	prob, alias := s.alias.Table()
 	m := uint64(len(prob))
-	return &weightedKernel{
-		blk:    newRngBlock(),
-		pairs:  s.pairs,
-		prob:   prob,
-		alias:  alias,
-		m:      m,
-		thresh: -m % m,
-		drop:   drop,
-	}
+	kn.blk.reset()
+	kn.pairs, kn.prob, kn.alias = s.pairs, prob, alias
+	kn.m, kn.thresh = m, -m%m
+	kn.drop, kn.drops = drop, 0
 }
 
 //popcheck:kernel
@@ -318,22 +315,17 @@ type nodeClockKernel struct {
 	drops int64
 }
 
-func newNodeClockKernel(s *NodeClock, drop float64) *nodeClockKernel {
+func (kn *nodeClockKernel) init(s *NodeClock, drop float64) {
 	prob, alias := s.alias.Table()
 	n := uint64(len(prob))
-	kn := &nodeClockKernel{
-		blk:   newRngBlock(),
-		g:     s.g,
-		prob:  prob,
-		alias: alias,
-		n:     n,
-		tn:    -n % n,
-		drop:  drop,
-	}
+	kn.blk.reset()
+	kn.g, kn.dense = s.g, nil
 	if dg, ok := s.g.(*graph.Dense); ok {
 		kn.dense = dg
 	}
-	return kn
+	kn.prob, kn.alias = prob, alias
+	kn.n, kn.tn = n, -n%n
+	kn.drop, kn.drops = drop, 0
 }
 
 //popcheck:kernel

@@ -88,7 +88,7 @@ func newTableBatch(pl *ExecPlan, tabs []Tabular, rs []*xrand.Rand, lanes []int32
 	}
 	copy(b.active, lanes)
 	for _, l := range lanes {
-		b.blks[l] = newRngBlock()
+		b.blks[l].reset()
 		st := tabs[l].TableStates()
 		copy(b.soa[int(l)*n:(int(l)+1)*n], st)
 		b.leaders[l], b.gaps[l] = tabs[l].Table().Counters(st)

@@ -7,8 +7,8 @@
 // no Protocol.Step call, and Stable() collapses to comparing the
 // incrementally maintained stability gap against zero. One fused kernel
 // exists per specialized scheduler kernel (dense-uniform, clique-
-// uniform, weighted, node-clock) × table; the sampling halves mirror
-// their engine.go siblings draw for draw.
+// uniform, weighted, node-clock) × table; each embeds its engine.go
+// sibling for the sampling state and mirrors its loop draw for draw.
 //
 // Determinism contract, extended to the protocol axis: fusing consumes
 // no randomness — the table replays exactly the state updates Step
@@ -80,26 +80,15 @@ func (tm *tableMachine) sync() { tm.p.ReloadCounters(tm.leaders, tm.gap) }
 
 // denseTableKernel fuses the dense-uniform sampling loop of denseKernel
 // with a transition table.
+// It embeds denseKernel for the sampling state, finish and stats.
 type denseTableKernel struct {
-	blk    rngBlock
-	edges  []int64
-	twoM   uint64
-	thresh uint64
-	drop   float64
-	drops  int64
-	tm     tableMachine
+	denseKernel
+	tm tableMachine
 }
 
-func newDenseTableKernel(g *graph.Dense, drop float64, p Tabular) *denseTableKernel {
-	twoM := uint64(2 * g.M())
-	return &denseTableKernel{
-		blk:    newRngBlock(),
-		edges:  g.PackedEdges(),
-		twoM:   twoM,
-		thresh: -twoM % twoM,
-		drop:   drop,
-		tm:     newTableMachine(p),
-	}
+func (kn *denseTableKernel) init(g *graph.Dense, drop float64, p Tabular) {
+	kn.denseKernel.init(g, drop)
+	kn.tm = newTableMachine(p)
 }
 
 //popcheck:kernel
@@ -134,34 +123,19 @@ func (kn *denseTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int64, b
 	return k, false
 }
 
-func (kn *denseTableKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *denseTableKernel) sync()                 { kn.tm.sync() }
-func (kn *denseTableKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
+func (kn *denseTableKernel) sync() { kn.tm.sync() }
 
 // cliqueTableKernel fuses cliqueKernel's two-draw pair construction
 // with a transition table.
+// It embeds cliqueKernel for the sampling state, finish and stats.
 type cliqueTableKernel struct {
-	blk      rngBlock
-	n, n1    uint64
-	threshN  uint64
-	threshN1 uint64
-	drop     float64
-	drops    int64
-	tm       tableMachine
+	cliqueKernel
+	tm tableMachine
 }
 
-func newCliqueTableKernel(g graph.Clique, drop float64, p Tabular) *cliqueTableKernel {
-	n := uint64(g.N())
-	n1 := n - 1
-	return &cliqueTableKernel{
-		blk:      newRngBlock(),
-		n:        n,
-		n1:       n1,
-		threshN:  -n % n,
-		threshN1: -n1 % n1,
-		drop:     drop,
-		tm:       newTableMachine(p),
-	}
+func (kn *cliqueTableKernel) init(g graph.Clique, drop float64, p Tabular) {
+	kn.cliqueKernel.init(g, drop)
+	kn.tm = newTableMachine(p)
 }
 
 //popcheck:kernel
@@ -201,37 +175,19 @@ func (kn *cliqueTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int64, 
 	return k, false
 }
 
-func (kn *cliqueTableKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *cliqueTableKernel) sync()                 { kn.tm.sync() }
-func (kn *cliqueTableKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
+func (kn *cliqueTableKernel) sync() { kn.tm.sync() }
 
 // weightedTableKernel fuses weightedKernel's alias-table edge draw with
 // a transition table.
+// It embeds weightedKernel for the sampling state, finish and stats.
 type weightedTableKernel struct {
-	blk    rngBlock
-	pairs  []int64
-	prob   []float64
-	alias  []int32
-	m      uint64
-	thresh uint64
-	drop   float64
-	drops  int64
-	tm     tableMachine
+	weightedKernel
+	tm tableMachine
 }
 
-func newWeightedTableKernel(s *Weighted, drop float64, p Tabular) *weightedTableKernel {
-	prob, alias := s.alias.Table()
-	m := uint64(len(prob))
-	return &weightedTableKernel{
-		blk:    newRngBlock(),
-		pairs:  s.pairs,
-		prob:   prob,
-		alias:  alias,
-		m:      m,
-		thresh: -m % m,
-		drop:   drop,
-		tm:     newTableMachine(p),
-	}
+func (kn *weightedTableKernel) init(s *Weighted, drop float64, p Tabular) {
+	kn.weightedKernel.init(s, drop)
+	kn.tm = newTableMachine(p)
 }
 
 //popcheck:kernel
@@ -271,42 +227,19 @@ func (kn *weightedTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int64
 	return k, false
 }
 
-func (kn *weightedTableKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *weightedTableKernel) sync()                 { kn.tm.sync() }
-func (kn *weightedTableKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
+func (kn *weightedTableKernel) sync() { kn.tm.sync() }
 
 // nodeClockTableKernel fuses nodeClockKernel's degree-proportional
 // initiator draw with a transition table.
+// It embeds nodeClockKernel for the sampling state, finish and stats.
 type nodeClockTableKernel struct {
-	blk   rngBlock
-	g     graph.Graph
-	dense *graph.Dense
-	prob  []float64
-	alias []int32
-	n     uint64
-	tn    uint64
-	drop  float64
-	drops int64
-	tm    tableMachine
+	nodeClockKernel
+	tm tableMachine
 }
 
-func newNodeClockTableKernel(s *NodeClock, drop float64, p Tabular) *nodeClockTableKernel {
-	prob, alias := s.alias.Table()
-	n := uint64(len(prob))
-	kn := &nodeClockTableKernel{
-		blk:   newRngBlock(),
-		g:     s.g,
-		prob:  prob,
-		alias: alias,
-		n:     n,
-		tn:    -n % n,
-		drop:  drop,
-		tm:    newTableMachine(p),
-	}
-	if dg, ok := s.g.(*graph.Dense); ok {
-		kn.dense = dg
-	}
-	return kn
+func (kn *nodeClockTableKernel) init(s *NodeClock, drop float64, p Tabular) {
+	kn.nodeClockKernel.init(s, drop)
+	kn.tm = newTableMachine(p)
 }
 
 //popcheck:kernel
@@ -349,6 +282,4 @@ func (kn *nodeClockTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int6
 	return k, false
 }
 
-func (kn *nodeClockTableKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *nodeClockTableKernel) sync()                 { kn.tm.sync() }
-func (kn *nodeClockTableKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
+func (kn *nodeClockTableKernel) sync() { kn.tm.sync() }

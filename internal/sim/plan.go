@@ -18,6 +18,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"popgraph/internal/graph"
 	"popgraph/internal/telemetry"
@@ -189,38 +190,78 @@ func Compile(g graph.Graph, opts Options) (*ExecPlan, error) {
 	return pl, nil
 }
 
-// newKernel instantiates the per-run chunk runner; r is available for
-// scheduler Begin draws, mirroring the pre-plan Source construction
+// runLabels holds each mode's flight-recorder dispatch labels,
+// "<scheduler-engine>/<protocol-engine>", built once so that a run
+// allocates none: [mode][0] for Step dispatch, [mode][1] for a fused
+// table.
+var runLabels = func() (ls [len(planModeNames)][2]string) {
+	for m, name := range planModeNames {
+		ls[m] = [2]string{name + "/step", name + "/table"}
+	}
+	return ls
+}()
+
+// runScratch holds one kernel of each solo type, each with its own
+// 4 KiB prefetch block. Runs recycle scratches through scratchPool, so
+// a run allocates no kernel: newKernel re-inits the one it picks, which
+// sets every field except the block buffer (refill overwrites that
+// before any read). Between runs a pooled scratch may still reference
+// its last run's graph and protocol; nothing reads them before the next
+// init overwrites them.
+type runScratch struct {
+	dense          denseKernel
+	clique         cliqueKernel
+	weighted       weightedKernel
+	nodeClock      nodeClockKernel
+	denseTable     denseTableKernel
+	cliqueTable    cliqueTableKernel
+	weightedTable  weightedTableKernel
+	nodeClockTable nodeClockTableKernel
+	source         sourceKernel
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+// newKernel instantiates the per-run chunk runner in s; r is available
+// for scheduler Begin draws, mirroring the pre-plan Source construction
 // point (after Protocol.Reset). p has been Reset, so a Tabular
 // protocol's table and live state array are available; fused kernels
 // are selected here (per run, not per plan) because the protocol axis
 // is a Run argument, not a Compile one. The second return is the
-// dispatch label the flight recorder tallies runs under:
-// "<scheduler-engine>/<protocol-engine>", e.g. "dense-uniform/table".
-func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand) (kernel, string) {
+// dispatch label the flight recorder tallies runs under, e.g.
+// "dense-uniform/table".
+func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand, s *runScratch) (kernel, string) {
 	if tp := pl.fusable(p); tp != nil && len(tp.TableStates()) == pl.g.N() {
-		label := planModeNames[pl.mode] + "/table"
+		label := runLabels[pl.mode][1]
 		switch pl.mode {
 		case modeDenseUniform:
-			return newDenseTableKernel(pl.g.(*graph.Dense), pl.drop, tp), label
+			s.denseTable.init(pl.g.(*graph.Dense), pl.drop, tp)
+			return &s.denseTable, label
 		case modeCliqueUniform:
-			return newCliqueTableKernel(pl.g.(graph.Clique), pl.drop, tp), label
+			s.cliqueTable.init(pl.g.(graph.Clique), pl.drop, tp)
+			return &s.cliqueTable, label
 		case modeWeighted:
-			return newWeightedTableKernel(pl.weighted, pl.drop, tp), label
+			s.weightedTable.init(pl.weighted, pl.drop, tp)
+			return &s.weightedTable, label
 		case modeNodeClock:
-			return newNodeClockTableKernel(pl.nodeClock, pl.drop, tp), label
+			s.nodeClockTable.init(pl.nodeClock, pl.drop, tp)
+			return &s.nodeClockTable, label
 		}
 	}
-	label := planModeNames[pl.mode] + "/step"
+	label := runLabels[pl.mode][0]
 	switch pl.mode {
 	case modeDenseUniform:
-		return newDenseKernel(pl.g.(*graph.Dense), pl.drop), label
+		s.dense.init(pl.g.(*graph.Dense), pl.drop)
+		return &s.dense, label
 	case modeCliqueUniform:
-		return newCliqueKernel(pl.g.(graph.Clique), pl.drop), label
+		s.clique.init(pl.g.(graph.Clique), pl.drop)
+		return &s.clique, label
 	case modeWeighted:
-		return newWeightedKernel(pl.weighted, pl.drop), label
+		s.weighted.init(pl.weighted, pl.drop)
+		return &s.weighted, label
 	case modeNodeClock:
-		return newNodeClockKernel(pl.nodeClock, pl.drop), label
+		s.nodeClock.init(pl.nodeClock, pl.drop)
+		return &s.nodeClock, label
 	}
 	var src Source
 	switch {
@@ -231,7 +272,8 @@ func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand) (kernel, string) {
 	default:
 		src = samplerSource{pl.g}
 	}
-	return &sourceKernel{src: src, drop: pl.drop}, label
+	s.source = sourceKernel{src: src, drop: pl.drop}
+	return &s.source, label
 }
 
 // Run resets p on the plan's graph and executes the compiled kernel in
@@ -259,9 +301,11 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 // out means batch lanes can demote to this loop after their one Reset
 // without perturbing the random stream.
 func (pl *ExecPlan) runPrepared(p Protocol, r *xrand.Rand, observer Observer) Result {
-	kern, label := pl.newKernel(p, r)
+	scratch := scratchPool.Get().(*runScratch)
+	kern, label := pl.newKernel(p, r, scratch)
 	var t, chunks, observes int64
-	for t < pl.maxSteps {
+	stabilized := false
+	for t < pl.maxSteps && !stabilized {
 		k := pl.maxSteps - t
 		if k > rngBlockSize {
 			k = rngBlockSize
@@ -271,7 +315,8 @@ func (pl *ExecPlan) runPrepared(p Protocol, r *xrand.Rand, observer Observer) Re
 				k = toBoundary
 			}
 		}
-		done, stabilized := kern.run(p, r, t, k)
+		var done int64
+		done, stabilized = kern.run(p, r, t, k)
 		t += done
 		chunks++
 		if observer != nil && t%pl.every == 0 {
@@ -281,16 +326,14 @@ func (pl *ExecPlan) runPrepared(p Protocol, r *xrand.Rand, observer Observer) Re
 			observer.Observe(t)
 			observes++
 		}
-		if stabilized {
-			kern.finish(r)
-			kern.sync()
-			pl.flush(kern, observer, label, t, chunks, observes)
-			return Result{Steps: t, Stabilized: true, Leader: FindLeader(pl.g, p)}
-		}
 	}
 	kern.finish(r)
 	kern.sync()
 	pl.flush(kern, observer, label, t, chunks, observes)
+	scratchPool.Put(scratch)
+	if stabilized {
+		return Result{Steps: t, Stabilized: true, Leader: FindLeader(pl.g, p)}
+	}
 	return Result{Steps: pl.maxSteps, Stabilized: false, Leader: -1}
 }
 

@@ -10,6 +10,7 @@ import (
 	"popgraph/internal/protocols/idelect"
 	"popgraph/internal/protocols/majority"
 	. "popgraph/internal/sim"
+	"popgraph/internal/telemetry"
 	"popgraph/internal/xrand"
 )
 
@@ -243,6 +244,86 @@ func TestPlanIsReusable(t *testing.T) {
 			if pr != rr {
 				t.Fatalf("engine %s round %d: %+v != %+v", pl.Engine(), round, pr, rr)
 			}
+		}
+	}
+}
+
+// TestReusedPlanRunAllocatesOnlyReset — a solo run on a reused plan
+// recycles its kernel and 4 KiB prefetch block and shares the
+// protocol's table, so it allocates no more than the protocol's own
+// Reset does.
+func TestReusedPlanRunAllocatesOnlyReset(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	for _, g := range []graph.Graph{graph.Torus2D(4, 4), graph.NewClique(16)} {
+		pl, err := Compile(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := beauquier.New()
+		r := xrand.New(1)
+		pl.Run(p, r) // warm the kernel pool and the shared table
+		if got := pl.ProtocolEngine(p); got != "table" {
+			t.Fatalf("%s: protocol engine %q, want table", g.Name(), got)
+		}
+		reset := testing.AllocsPerRun(100, func() { p.Reset(g, r) })
+		run := testing.AllocsPerRun(100, func() { pl.Run(p, r) })
+		if run > reset {
+			t.Errorf("%s: Run allocates %v times, the protocol's Reset %v", g.Name(), run, reset)
+		}
+	}
+}
+
+// TestRecycledKernelsCarryNothingOver — runs recycle their kernels, so
+// no run may depend on the runs before it: the same runs in opposite
+// orders give identical results, run accounting and post-run generator
+// states.
+func TestRecycledKernelsCarryNothingOver(t *testing.T) {
+	torus, clique := graph.Torus2D(4, 4), graph.NewClique(16)
+	nodeClock, err := NewNodeClock(torus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		g    graph.Graph
+		opts Options
+	}{
+		{torus, Options{}},
+		{torus, Options{DropRate: 0.3}},
+		{torus, Options{NoTable: true, DropRate: 0.2}},
+		{torus, Options{Scheduler: nodeClock, DropRate: 0.25}},
+		{clique, Options{DropRate: 0.4}},
+		{clique, Options{NoTable: true}},
+	}
+	type run struct {
+		res   Result
+		snap  telemetry.Snapshot
+		state xrand.State
+	}
+	runAll := func(order []int) []run {
+		out := make([]run, len(cases))
+		for _, i := range order {
+			opts := cases[i].opts
+			opts.Meter = new(telemetry.Counters)
+			pl, err := Compile(cases[i].g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := xrand.New(uint64(40 + i))
+			res := pl.Run(beauquier.New(), r)
+			out[i] = run{res, opts.Meter.Snapshot(), r.Save()}
+		}
+		return out
+	}
+	fwd := runAll([]int{0, 1, 2, 3, 4, 5})
+	rev := runAll([]int{5, 4, 3, 2, 1, 0})
+	for i := range cases {
+		a, b := fwd[i], rev[i]
+		if a.res != b.res || a.state != b.state || a.snap.StepsExecuted != b.snap.StepsExecuted ||
+			a.snap.ChunksRun != b.snap.ChunksRun || a.snap.RNGRefills != b.snap.RNGRefills ||
+			a.snap.DropsApplied != b.snap.DropsApplied {
+			t.Errorf("case %d depends on run order: %+v vs %+v", i, a, b)
 		}
 	}
 }

@@ -171,9 +171,10 @@ func ProtocolFactory(spec string, g Graph, r *Rand) (factory func() Protocol, er
 	case "six-state", "sixstate", "six":
 		// A snapshot-loaded graph may carry the protocol's compiled
 		// transition table; install it so instances skip the Step-probing
-		// rebuild. The table axis is input-independent for six-state (and
+		// build. The table axis is input-independent for six-state (and
 		// star below) — majority's table depends on the input margin's
-		// sign, so it is never preloaded and always rebuilds.
+		// sign, so it is never preloaded and comes from the per-sign
+		// table the package builds once per process.
 		if t := preloadedTable(g, "six-state"); t != nil {
 			if err := beauquier.New().UseTable(t); err != nil {
 				return nil, fmt.Errorf("popgraph: protocol %q on graph %q: %w", spec, g.Name(), err)

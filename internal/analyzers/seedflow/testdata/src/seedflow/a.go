@@ -61,18 +61,17 @@ func offByShard(base uint64, shardIdx, m, n int) []uint64 {
 	return out
 }
 
-// batchUnits derives lane seeds for lockstep batch units: a unit whose
-// first lane is global trial off runs lane l as global trial off+l, so
-// the flat addition of the lane loop variable to a loop-independent
-// offset IS the trial identity. Sanctioned on both operand orders; any
-// scaling or nesting falls back to the shard-seam flag.
+// batchUnits derives seeds for runs of width trials starting at off by
+// offset arithmetic on the loop variable: flagged in every form, flat
+// additions included, because off+l re-derives a grid position instead
+// of mapping through the planned cell.
 func batchUnits(base uint64, off, width int) []uint64 {
 	out := make([]uint64, 0, width)
 	for l := 0; l < width; l++ {
-		out = append(out, runner.SeedFor(base, off+l))
+		out = append(out, runner.SeedFor(base, off+l)) // want `seedflow: runner\.SeedFor trial argument mixes loop variable l`
 	}
 	for l := 0; l < width; l++ {
-		out = append(out, runner.SeedFor(base, l+off))
+		out = append(out, runner.SeedFor(base, l+off)) // want `seedflow: runner\.SeedFor trial argument mixes loop variable l`
 	}
 	for l := 0; l < width; l++ {
 		out = append(out, runner.SeedFor(base, off+l*2)) // want `seedflow: runner\.SeedFor trial argument mixes loop variable l`

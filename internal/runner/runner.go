@@ -136,7 +136,7 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 	}
 	endBatch := p.Journal.Span("run", map[string]any{"trials": len(jobs), "workers": workers})
 	defer endBatch()
-	schedule(p, workers, len(jobs), len(jobs), func(i int, shard *telemetry.Counters, queueWait int64) (Outcome, int) {
+	schedule(p, workers, len(jobs), func(i int, shard *telemetry.Counters, queueWait int64) Outcome {
 		j := jobs[i]
 		if shard != nil && j.Opts.Meter == nil {
 			j.Opts.Meter = shard
@@ -148,21 +148,23 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 		if shard != nil {
 			shard.AddTrial(o.ElapsedNs, o.QueueWaitNs, o.Result.Stabilized, o.Failed())
 		}
-		return o, 1
+		return o
 	}, emit)
 }
 
-// window is the reorder window of Stream and StreamBatched, in
-// scheduling units (one job for Stream, one replicate group for
-// StreamBatched): the most units that may be claimed ahead of the next
-// one to be delivered. It bounds the buffered outcomes at window jobs
-// (window·batch for StreamBatched) whatever the emit speed — 64 KiB of
-// Outcomes for Stream — and is wide enough that workers reach it only
-// when emit itself is the bottleneck, not when one trial straggles or
-// one emit call is slow.
+// RunBatched is Run: batch and group are ignored. It remains only
+// because perfbench's runner probe still calls it; the shim goes when
+// a later benchmark change drops that probe.
+func (p Pool) RunBatched(jobs []Job, batch int, group func(i int) int) []Outcome { return p.Run(jobs) }
+
+// window is Stream's reorder window: the most jobs that may be claimed
+// ahead of the next one to be delivered. It bounds the buffered
+// outcomes at 1024 (64 KiB) whatever the emit speed, and is wide enough
+// that workers reach it only when emit itself is the bottleneck, not
+// when one trial straggles or one emit call is slow.
 const window = 1024
 
-// workers resolves the pool's worker count for n units: Workers, or
+// workers resolves the pool's worker count for n jobs: Workers, or
 // GOMAXPROCS(0) when unset, capped at n.
 func (p Pool) workers(n int) int {
 	w := p.Workers
@@ -172,25 +174,22 @@ func (p Pool) workers(n int) int {
 	return min(w, n)
 }
 
-// schedule runs units 0..units-1 on workers goroutines and passes each
-// unit's result to deliver in unit order on the calling goroutine. run
-// executes one unit on a worker, given the worker's telemetry shard
-// (nil without a pool meter) and the unit's queue wait in nanoseconds,
-// and returns the result with the number of trials it completed, which
-// drives Progress towards trials. Stream and StreamBatched differ only
-// in what a unit is.
-func schedule[T any](p Pool, workers, units, trials int,
-	run func(u int, shard *telemetry.Counters, queueWait int64) (T, int),
-	deliver func(u int, v T)) {
+// schedule runs jobs 0..n-1 on workers goroutines and passes each
+// job's outcome to deliver in job order on the calling goroutine. run
+// executes one job on a worker, given the worker's telemetry shard (nil
+// without a pool meter) and the job's queue wait in nanoseconds.
+func schedule(p Pool, workers, n int,
+	run func(i int, shard *telemetry.Counters, queueWait int64) Outcome,
+	deliver func(i int, o Outcome)) {
 	var (
 		start = time.Now()
-		h     = newHandoff[T](units)
+		h     = newHandoff(n)
 		done  atomic.Int64
 		wg    sync.WaitGroup
 		repWG sync.WaitGroup
 	)
 	// A panicking deliver unwinds through here; stop lets the workers
-	// finish their current unit and exit instead of waiting for window
+	// finish their current job and exit instead of waiting for window
 	// space forever.
 	defer h.stop()
 	var notify chan struct{}
@@ -210,7 +209,7 @@ func schedule[T any](p Pool, workers, units, trials int,
 			report := func() {
 				if d := done.Load(); d > last {
 					last = d
-					p.Progress(int(d), trials)
+					p.Progress(int(d), n)
 				}
 			}
 			for range notify {
@@ -228,10 +227,9 @@ func schedule[T any](p Pool, workers, units, trials int,
 		shard := shards[w]
 		go func() {
 			defer wg.Done()
-			for u := h.claim(); u >= 0; u = h.claim() {
-				v, n := run(u, shard, time.Since(start).Nanoseconds())
-				h.put(u, v)
-				done.Add(int64(n))
+			for i := h.claim(); i >= 0; i = h.claim() {
+				h.put(i, run(i, shard, time.Since(start).Nanoseconds()))
+				done.Add(1)
 				if notify != nil {
 					select {
 					case notify <- struct{}{}:
@@ -241,10 +239,10 @@ func schedule[T any](p Pool, workers, units, trials int,
 			}
 		}()
 	}
-	for h.base < units {
+	for h.base < n {
 		lo, hi := h.take()
-		for u := lo; u < hi; u++ {
-			deliver(u, h.slots[u%len(h.slots)])
+		for i := lo; i < hi; i++ {
+			deliver(i, h.slots[i%len(h.slots)])
 		}
 		h.release(lo, hi)
 	}
@@ -261,64 +259,64 @@ func schedule[T any](p Pool, workers, units, trials int,
 }
 
 // handoff is the reorder window between the workers and the delivering
-// goroutine: a ring of slots indexed by unit number modulo its length.
-// Unit u may be claimed only while u < base+len(slots), so each slot
-// belongs to one unit at a time and is rewritten only after release
-// has delivered and freed it. That is what lets the deliverer read
-// ready slots outside the lock.
-type handoff[T any] struct {
+// goroutine: a ring of slots indexed by job number modulo its length.
+// Job i may be claimed only while i < base+len(slots), so each slot
+// belongs to one job at a time and is rewritten only after release has
+// delivered and freed it. That is what lets the deliverer read ready
+// slots outside the lock.
+type handoff struct {
 	mu      sync.Mutex
 	space   sync.Cond // broadcast when base advances or the handoff stops
 	filled  sync.Cond // signalled when slot base becomes ready
-	slots   []T
+	slots   []Outcome
 	ready   []bool
-	next    int // next unit to claim
-	base    int // next unit to deliver; written only by the deliverer
-	units   int
+	next    int // next job to claim
+	base    int // next job to deliver; written only by the deliverer
+	n       int
 	stopped bool
 }
 
-func newHandoff[T any](units int) *handoff[T] {
-	w := min(window, units)
-	h := &handoff[T]{slots: make([]T, w), ready: make([]bool, w), units: units}
+func newHandoff(n int) *handoff {
+	w := min(window, n)
+	h := &handoff{slots: make([]Outcome, w), ready: make([]bool, w), n: n}
 	h.space.L = &h.mu
 	h.filled.L = &h.mu
 	return h
 }
 
-// claim returns the next unit to run, waiting while it lies a full
-// window ahead of delivery, or -1 when no units remain.
-func (h *handoff[T]) claim() int {
+// claim returns the next job to run, waiting while it lies a full
+// window ahead of delivery, or -1 when no jobs remain.
+func (h *handoff) claim() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.stopped || h.next >= h.units {
+	if h.stopped || h.next >= h.n {
 		return -1
 	}
-	u := h.next
+	i := h.next
 	h.next++
-	for u >= h.base+len(h.slots) && !h.stopped {
+	for i >= h.base+len(h.slots) && !h.stopped {
 		h.space.Wait()
 	}
 	if h.stopped {
 		return -1
 	}
-	return u
+	return i
 }
 
-// put stores unit u's result in its slot.
-func (h *handoff[T]) put(u int, v T) {
+// put stores job i's outcome in its slot.
+func (h *handoff) put(i int, o Outcome) {
 	h.mu.Lock()
-	h.slots[u%len(h.slots)] = v
-	h.ready[u%len(h.slots)] = true
-	if u == h.base {
+	h.slots[i%len(h.slots)] = o
+	h.ready[i%len(h.slots)] = true
+	if i == h.base {
 		h.filled.Signal()
 	}
 	h.mu.Unlock()
 }
 
-// take waits for unit base to be ready and returns the ready run
+// take waits for job base to be ready and returns the ready run
 // [lo, hi) starting there.
-func (h *handoff[T]) take() (lo, hi int) {
+func (h *handoff) take() (lo, hi int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	w := len(h.slots)
@@ -326,20 +324,19 @@ func (h *handoff[T]) take() (lo, hi int) {
 		h.filled.Wait()
 	}
 	lo, hi = h.base, h.base+1
-	for hi < h.units && hi < lo+w && h.ready[hi%w] {
+	for hi < h.n && hi < lo+w && h.ready[hi%w] {
 		hi++
 	}
 	return lo, hi
 }
 
-// release frees the slots of the delivered units [lo, hi) and wakes
+// release frees the slots of the delivered jobs [lo, hi) and wakes
 // workers waiting for window space.
-func (h *handoff[T]) release(lo, hi int) {
+func (h *handoff) release(lo, hi int) {
 	h.mu.Lock()
-	var zero T
-	for u := lo; u < hi; u++ {
-		h.slots[u%len(h.slots)] = zero
-		h.ready[u%len(h.slots)] = false
+	for i := lo; i < hi; i++ {
+		h.slots[i%len(h.slots)] = Outcome{}
+		h.ready[i%len(h.slots)] = false
 	}
 	h.base = hi
 	h.space.Broadcast()
@@ -347,8 +344,8 @@ func (h *handoff[T]) release(lo, hi int) {
 }
 
 // stop makes every waiting and future claim return -1. After a normal
-// drain all units are claimed and it changes nothing.
-func (h *handoff[T]) stop() {
+// drain all jobs are claimed and it changes nothing.
+func (h *handoff) stop() {
 	h.mu.Lock()
 	h.stopped = true
 	h.space.Broadcast()

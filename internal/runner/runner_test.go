@@ -356,51 +356,48 @@ func TestStreamProgressAndMeterStillWork(t *testing.T) {
 // TestEmitBacklogDoesNotStallWorkers — workers must keep starting jobs
 // while emit is busy: here the first emit call blocks until the last of
 // 64 jobs has started, which needs the workers to run 63 jobs ahead of
-// the emitter. Jobs after the first scheduling unit start only once
-// emit is entered, so the emitter is behind from the start. A handoff
-// that parks workers whenever the emitter falls a few outcomes behind
-// deadlocks on it.
+// the emitter. Jobs after the first start only once emit is entered, so
+// the emitter is behind from the start. A handoff that parks workers
+// whenever the emitter falls a few outcomes behind deadlocks on it.
 func TestEmitBacklogDoesNotStallWorkers(t *testing.T) {
 	const n = 64
-	for _, batch := range []int{0, 4} {
-		emitting, lastStarted, giveUp := make(chan struct{}), make(chan struct{}), make(chan struct{})
-		jobs := TrialJobs(graph.NewClique(8), factory, 17, n, sim.Options{})
-		for i := max(batch, 1); i < n; i++ {
-			jobs[i].New = func() sim.Protocol {
+	emitting, lastStarted, giveUp := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	jobs := TrialJobs(graph.NewClique(8), factory, 17, n, sim.Options{})
+	for i := 1; i < n; i++ {
+		jobs[i].New = func() sim.Protocol {
+			select {
+			case <-emitting:
+			case <-giveUp:
+			}
+			if i == n-1 {
+				close(lastStarted)
+			}
+			return factory()
+		}
+	}
+	finished := make(chan int)
+	go func() {
+		emitted := 0
+		Pool{Workers: 2}.Stream(jobs, func(int, Outcome) {
+			if emitted == 0 {
+				close(emitting)
 				select {
-				case <-emitting:
+				case <-lastStarted:
 				case <-giveUp:
 				}
-				if i == n-1 {
-					close(lastStarted)
-				}
-				return factory()
 			}
+			emitted++
+		})
+		finished <- emitted
+	}()
+	select {
+	case emitted := <-finished:
+		if emitted != n {
+			t.Fatalf("%d outcomes emitted, want %d", emitted, n)
 		}
-		finished := make(chan int)
-		go func() {
-			emitted := 0
-			Pool{Workers: 2}.StreamBatched(jobs, batch, nil, func(int, Outcome) {
-				if emitted == 0 {
-					close(emitting)
-					select {
-					case <-lastStarted:
-					case <-giveUp:
-					}
-				}
-				emitted++
-			})
-			finished <- emitted
-		}()
-		select {
-		case emitted := <-finished:
-			if emitted != n {
-				t.Fatalf("batch=%d: %d outcomes emitted, want %d", batch, emitted, n)
-			}
-		case <-time.After(30 * time.Second):
-			close(giveUp)
-			<-finished
-			t.Fatalf("batch=%d: workers stopped starting jobs while emit was blocked", batch)
-		}
+	case <-time.After(30 * time.Second):
+		close(giveUp)
+		<-finished
+		t.Fatalf("workers stopped starting jobs while emit was blocked")
 	}
 }

@@ -28,28 +28,41 @@ func TestParseJSON(t *testing.T) {
 		"name": "demo", "seed": 7, "trials": 2,
 		"graphs": ["clique:N", "torus:NxN"], "sizes": [8],
 		"protocols": ["six-state", "fast"], "drop_rates": [0, 0.5],
-		"max_steps": 100000, "batch": 8
+		"max_steps": 100000
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.Name != "demo" || spec.Seed != 7 || spec.Trials != 2 ||
 		len(spec.Graphs) != 2 || len(spec.Protocols) != 2 ||
-		len(spec.DropRates) != 2 || spec.MaxSteps != 100000 || spec.Batch != 8 {
+		len(spec.DropRates) != 2 || spec.MaxSteps != 100000 {
 		t.Fatalf("parsed spec %+v", spec)
 	}
 }
 
 func TestParseJSONRejectsUnknownFields(t *testing.T) {
-	_, err := ParseJSON([]byte(`{"seed": 1, "trials": 1, "graphs": ["clique:8"], "protocols": ["six-state"], "grahps": []}`))
-	if err == nil {
-		t.Fatal("unknown field accepted")
+	// The valid key list in the error is hand-written; it must name
+	// exactly Spec's JSON keys, in declaration order.
+	var tags []string
+	st := reflect.TypeFor[Spec]()
+	for i := range st.NumField() {
+		name, _, _ := strings.Cut(st.Field(i).Tag.Get("json"), ",")
+		tags = append(tags, name)
 	}
-	// The error must name the offending key and the valid key set, so a
-	// typo in a hand-written spec is a one-glance fix.
-	for _, want := range []string{`"grahps"`, "graphs", "schedulers"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %s", err, want)
+	wantKeys := "(valid keys: " + strings.Join(tags, ", ") + ")"
+	// "batch" was a spec key once; it must be rejected like any typo.
+	for _, key := range []string{`"grahps": []`, `"batch": 8`} {
+		_, err := ParseJSON([]byte(`{"seed": 1, "trials": 1, "graphs": ["clique:8"], "protocols": ["six-state"], ` + key + `}`))
+		if err == nil {
+			t.Fatalf("unknown field %s accepted", key)
+		}
+		// The error must name the offending key and the valid key set, so
+		// a typo in a hand-written spec is a one-glance fix.
+		bad, _, _ := strings.Cut(key, ":")
+		for _, want := range []string{bad, wantKeys} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %s", err, want)
+			}
 		}
 	}
 }
@@ -84,7 +97,6 @@ func TestValidate(t *testing.T) {
 		{"tiny size", func(s *Spec) { s.Sizes = []int{1} }},
 		{"bad drop", func(s *Spec) { s.DropRates = []float64{1} }},
 		{"negative cap", func(s *Spec) { s.MaxSteps = -1 }},
-		{"negative batch", func(s *Spec) { s.Batch = -1 }},
 		{"blank scheduler", func(s *Spec) { s.Schedulers = []string{"uniform", " "} }},
 	}
 	for _, c := range cases {
@@ -289,11 +301,12 @@ func TestExecuteByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestExecuteStreamBatchedByteIdentical — the batch knob must be
-// invisible in the records: for any batch width (dividing Trials or
-// not, wider than a task or not) the streamed records equal the solo
-// grid's byte for byte, across the full scheduler axis (lockstep cells
-// and fallback cells alike, crashed star trials included).
+// TestExecuteStreamBatchedByteIdentical — streaming must be invisible
+// in the records: for any worker count (fewer or more workers than a
+// task has trials) the records ExecuteStream delivers equal the
+// one-worker Execute grid's byte for byte, across the scheduler axis,
+// crashed star trials included. (The name dates from when trials could
+// run as lockstep batched units; records never depended on that.)
 func TestExecuteStreamBatchedByteIdentical(t *testing.T) {
 	s := Spec{
 		Seed:   7,
@@ -306,15 +319,19 @@ func TestExecuteStreamBatchedByteIdentical(t *testing.T) {
 		Protocols: []string{"six-state", "star"},
 		DropRates: []float64{0, 0.25},
 	}
-	encode := func(batch int) []byte {
+	encode := func(workers int) []byte {
 		tasks, err := s.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var recs []results.Record
-		ExecuteStreamBatched(tasks, runner.Pool{Workers: 3}, batch, func(rec results.Record) {
-			recs = append(recs, rec)
-		})
+		if workers == 0 {
+			recs = Execute(tasks, runner.Pool{Workers: 1})
+		} else {
+			ExecuteStream(tasks, runner.Pool{Workers: workers}, func(rec results.Record) {
+				recs = append(recs, rec)
+			})
+		}
 		for i := range recs {
 			recs[i].ElapsedNs, recs[i].QueueWaitNs = 0, 0
 		}
@@ -328,9 +345,9 @@ func TestExecuteStreamBatchedByteIdentical(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("no output produced")
 	}
-	for _, batch := range []int{2, 3, 5, 16} {
-		if got := encode(batch); !bytes.Equal(got, want) {
-			t.Fatalf("batch=%d records differ from the solo grid", batch)
+	for _, workers := range []int{1, 2, 3, 16} {
+		if got := encode(workers); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d streamed records differ from the solo grid", workers)
 		}
 	}
 }

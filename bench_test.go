@@ -107,11 +107,14 @@ func BenchmarkEngineThroughput(b *testing.B) {
 }
 
 // BenchmarkEngine compares the full engine per interaction — scheduler
-// sampling + protocol step + stability check — between the
-// type-specialized block-sampling loops and the generic EdgeSampler loop
-// (forced via Options.Sampler) on each concrete graph representation.
-// ns/op is ns per interaction. Runs that stabilize before b.N steps are
-// restarted, so every op is a real interaction.
+// sampling + protocol step + stability check — on each concrete graph
+// representation across three engines: the type-specialized
+// block-sampling loop with the fused transition table ("specialized"),
+// the same loop dispatching through Protocol.Step ("step", forced via
+// Options.NoTable), and the generic EdgeSampler loop ("generic", forced
+// via Options.Sampler). specialized against step is the table speedup of
+// each fused kernel. ns/op is ns per interaction. Runs that stabilize
+// before b.N steps are restarted, so every op is a real interaction.
 func BenchmarkEngine(b *testing.B) {
 	cases := []struct {
 		name string
@@ -122,9 +125,9 @@ func BenchmarkEngine(b *testing.B) {
 		{"lollipop-64-64", popgraph.Lollipop(64, 64)},
 	}
 	for _, c := range cases {
-		for _, engine := range []string{"specialized", "generic"} {
+		for _, engine := range []string{"specialized", "step", "generic"} {
 			b.Run(c.name+"/"+engine, func(b *testing.B) {
-				opts := popgraph.Options{}
+				opts := popgraph.Options{NoTable: engine == "step"}
 				if engine == "generic" {
 					opts.Sampler = c.g
 				}
@@ -139,9 +142,11 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkEngineScheduled compares the specialized scheduler kernels —
-// weighted alias-table, node-clock, and the in-kernel drop path — against
-// the generic Source-driven reference loop that Options.Reference forces.
-// Both consume the identical random stream, so ns/op differences are pure
+// weighted alias-table, node-clock, and the in-kernel drop path — with
+// the fused transition table ("specialized"), with Protocol.Step dispatch
+// ("step", Options.NoTable), and against the generic Source-driven
+// reference loop that Options.Reference forces ("reference"). All three
+// consume the identical random stream, so ns/op differences are pure
 // engine speedup.
 func BenchmarkEngineScheduled(b *testing.B) {
 	g := popgraph.Torus(32, 32)
@@ -163,9 +168,10 @@ func BenchmarkEngineScheduled(b *testing.B) {
 		{"uniform-drop10", popgraph.Options{DropRate: 0.1}},
 	}
 	for _, c := range cases {
-		for _, engine := range []string{"specialized", "reference"} {
+		for _, engine := range []string{"specialized", "step", "reference"} {
 			b.Run(c.name+"/"+engine, func(b *testing.B) {
 				opts := c.opts
+				opts.NoTable = engine == "step"
 				opts.Reference = engine == "reference"
 				r := popgraph.NewRand(1)
 				for done := int64(0); done < int64(b.N); {

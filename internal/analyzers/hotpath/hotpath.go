@@ -4,8 +4,8 @@
 // engine_table.go), which PR 5 made allocation- and dispatch-free. The
 // per-step cost budget there is a couple of loads, a multiply and
 // predictable branches; anything that allocates, defers, schedules or
-// dynamically dispatches silently destroys the measured speedups the
-// committed BENCH_sim.json baselines gate on.
+// dynamically dispatches silently destroys the kernel speedups that the
+// engine benchmarks and perfbench's kernel probes measure.
 //
 // Inside a marked function the analyzer flags:
 //   - defer and go statements;

@@ -12,6 +12,7 @@ func Cycle(n int) *Dense {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: cycle needs n >= 3, got %d", n))
 	}
+	mustFit("cycle", float64(n), float64(n))
 	packed := make([]int64, 0, n)
 	for v := 0; v < n-1; v++ {
 		packed = append(packed, pack(v, v+1))
@@ -25,6 +26,7 @@ func Path(n int) *Dense {
 	if n < 2 {
 		panic(fmt.Sprintf("graph: path needs n >= 2, got %d", n))
 	}
+	mustFit("path", float64(n), float64(n-1))
 	packed := make([]int64, 0, n-1)
 	for v := 0; v < n-1; v++ {
 		packed = append(packed, pack(v, v+1))
@@ -37,6 +39,7 @@ func Star(n int) *Dense {
 	if n < 2 {
 		panic(fmt.Sprintf("graph: star needs n >= 2, got %d", n))
 	}
+	mustFit("star", float64(n), float64(n-1))
 	packed := make([]int64, 0, n-1)
 	for v := 1; v < n; v++ {
 		packed = append(packed, pack(0, v))
@@ -53,6 +56,7 @@ func CompleteBipartite(a, b int) *Dense {
 	if a < 1 || b < 1 || a+b < 2 {
 		panic(fmt.Sprintf("graph: K_{%d,%d} invalid", a, b))
 	}
+	mustFit("bipartite", float64(a)+float64(b), float64(a)*float64(b))
 	packed := make([]int64, 0, a*b)
 	for u := 0; u < a; u++ {
 		for w := a; w < a+b; w++ {
@@ -72,6 +76,7 @@ func Torus2D(rows, cols int) *Dense {
 	if rows < 3 || cols < 3 {
 		panic(fmt.Sprintf("graph: torus needs dims >= 3, got %dx%d", rows, cols))
 	}
+	mustFit("torus", float64(rows)*float64(cols), 2*float64(rows)*float64(cols))
 	n := rows * cols
 	packed := make([]int64, 0, 2*n)
 	id := func(r, c int) int { return r*cols + c }
@@ -142,6 +147,7 @@ func Grid2D(rows, cols int) *Dense {
 	if rows < 1 || cols < 1 || rows*cols < 2 {
 		panic(fmt.Sprintf("graph: grid %dx%d invalid", rows, cols))
 	}
+	mustFit("grid", float64(rows)*float64(cols), 2*float64(rows)*float64(cols))
 	n := rows * cols
 	packed := make([]int64, 0, 2*n)
 	id := func(r, c int) int { return r*cols + c }
@@ -198,6 +204,7 @@ func Lollipop(k, pathLen int) *Dense {
 	if k < 2 || pathLen < 1 {
 		panic(fmt.Sprintf("graph: lollipop(%d,%d) invalid", k, pathLen))
 	}
+	mustFit("lollipop", float64(k)+float64(pathLen), float64(k)*float64(k-1)/2+float64(pathLen))
 	n := k + pathLen
 	packed := make([]int64, 0, k*(k-1)/2+pathLen)
 	for u := 0; u < k; u++ {
@@ -224,6 +231,7 @@ func Barbell(k, pathLen int) *Dense {
 	if k < 2 || pathLen < 0 {
 		panic(fmt.Sprintf("graph: barbell(%d,%d) invalid", k, pathLen))
 	}
+	mustFit("barbell", 2*float64(k)+float64(pathLen), float64(k)*float64(k-1)+float64(pathLen)+1)
 	n := 2*k + pathLen
 	packed := make([]int64, 0, k*(k-1)+pathLen+1)
 	for u := 0; u < k; u++ {
@@ -247,8 +255,12 @@ func Barbell(k, pathLen int) *Dense {
 // connected (the conditioning used throughout Sections 4 and 7). It retries
 // up to 1000 draws and returns ErrDisconnected if none is connected.
 func Gnp(n int, p float64, r *xrand.Rand) (*Dense, error) {
-	if n < 2 || p <= 0 || p > 1 {
+	if n < 2 || !(p > 0 && p <= 1) {
 		return nil, fmt.Errorf("graph: Gnp(%d, %v): %w", n, p, ErrInvalidEdge)
+	}
+	// The expected edge count: gnpEdges preallocates for it.
+	if err := checkSize("gnp", float64(n), p*float64(n)*float64(n-1)/2); err != nil {
+		return nil, err
 	}
 	for try := 0; try < 1000; try++ {
 		packed := gnpEdges(n, p, r)
@@ -314,6 +326,9 @@ func WattsStrogatz(n, k int, beta float64, r *xrand.Rand) (*Dense, error) {
 		return nil, fmt.Errorf("graph: WattsStrogatz(%d, %d, %v): need n >= 3, even 2 <= k < n, beta in [0,1]: %w",
 			n, k, beta, ErrInvalidEdge)
 	}
+	if err := checkSize("ws", float64(n), float64(n)*float64(k)/2); err != nil {
+		return nil, err
+	}
 	name := fmt.Sprintf("ws-%d-k%d-b%g", n, k, beta)
 	for try := 0; try < 1000; try++ {
 		g := newDenseUnchecked(n, sortPacked(wsEdges(n, k, beta, r)), name)
@@ -376,6 +391,9 @@ func BarabasiAlbert(n, m int, r *xrand.Rand) (*Dense, error) {
 		return nil, fmt.Errorf("graph: BarabasiAlbert(%d, %d): need 1 <= m < n: %w",
 			n, m, ErrInvalidEdge)
 	}
+	if err := checkSize("ba", float64(n), float64(m)*float64(m+1)/2+float64(n-m-1)*float64(m)); err != nil {
+		return nil, err
+	}
 	mEdges := m * (m + 1) / 2 // seed clique
 	packed := make([]int64, 0, mEdges+(n-m-1)*m)
 	// targets lists each edge endpoint once, so uniform draws from it are
@@ -420,6 +438,9 @@ func RandomRegular(n, d int, r *xrand.Rand) (*Dense, error) {
 	if d < 3 || d >= n || n*d%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular(%d, %d): need 3 <= d < n, n·d even: %w",
 			n, d, ErrInvalidEdge)
+	}
+	if err := checkSize("regular", float64(n), float64(n)*float64(d)/2); err != nil {
+		return nil, err
 	}
 	for try := 0; try < 1000; try++ {
 		packed, ok := pairingAttempt(n, d, r)

@@ -13,6 +13,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"popgraph/internal/xrand"
@@ -72,12 +73,35 @@ var (
 	ErrInvalidEdge  = errors.New("graph: invalid edge")
 )
 
+// checkSize returns an error when a graph of n nodes and m edges does not
+// fit a Dense graph, whose int32 CSR arrays hold n node ids and 2m
+// adjacency entries. Generators call it before allocating anything sized
+// by n or m; float64 arguments keep products of huge parameters from
+// wrapping.
+func checkSize(name string, n, m float64) error {
+	if n > math.MaxInt32 || 2*m > math.MaxInt32 {
+		return fmt.Errorf("graph %s: %.0f nodes and %.0f edges exceed the int32 adjacency (at most %d nodes and %d edges): %w",
+			name, n, m, math.MaxInt32, math.MaxInt32/2, ErrInvalidEdge)
+	}
+	return nil
+}
+
+// mustFit is checkSize for the generators that panic on bad parameters.
+func mustFit(name string, n, m float64) {
+	if err := checkSize(name, n, m); err != nil {
+		panic(err.Error())
+	}
+}
+
 // NewDense builds a Dense graph on n nodes from the given undirected edge
 // list. It rejects self-loops, out-of-range endpoints, duplicate edges and
 // disconnected graphs.
 func NewDense(n int, edges []Edge, name string) (*Dense, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph %q: n must be positive, got %d: %w", name, n, ErrInvalidEdge)
+	}
+	if err := checkSize(name, float64(n), float64(len(edges))); err != nil {
+		return nil, err
 	}
 	norm := make([]int64, 0, len(edges))
 	for _, e := range edges {

@@ -96,10 +96,25 @@ type Weighted struct {
 	alias *xrand.Alias
 }
 
+// CheckAliasSize returns an error when g is too large for the weighted
+// and node-clock schedulers, whose alias tables index edges and nodes
+// with int32. Callers that size a buffer by g.M() check it first.
+func CheckAliasSize(g graph.Graph) error {
+	// n is checked first: past it, an implicit clique's M() may wrap.
+	if n := g.N(); n > math.MaxInt32 || g.M() > math.MaxInt32 {
+		return fmt.Errorf("sim: %q (n = %d) is too large for an alias-table scheduler: at most %d nodes and edges",
+			g.Name(), n, math.MaxInt32)
+	}
+	return nil
+}
+
 // NewWeighted builds a weighted scheduler for g. rates holds one
 // nonnegative finite rate per undirected edge, indexed in ForEachEdge
 // order, with a positive sum; name labels the policy in logs.
 func NewWeighted(g graph.Graph, name string, rates []float64) (*Weighted, error) {
+	if err := CheckAliasSize(g); err != nil {
+		return nil, err
+	}
 	if len(rates) != g.M() {
 		return nil, fmt.Errorf("sim: weighted scheduler for %q wants %d edge rates, got %d",
 			g.Name(), g.M(), len(rates))
@@ -167,6 +182,9 @@ type NodeClock struct {
 
 // NewNodeClock builds a node-clock scheduler for g.
 func NewNodeClock(g graph.Graph) (*NodeClock, error) {
+	if err := CheckAliasSize(g); err != nil {
+		return nil, err
+	}
 	n := g.N()
 	deg := make([]float64, n)
 	for v := 0; v < n; v++ {

@@ -171,15 +171,15 @@ type Options struct {
 	// when a specialized kernel exists for the configuration. The Result,
 	// observer callbacks and post-run generator state are byte-identical
 	// either way — that is the determinism contract — so the only effect
-	// is speed; equivalence tests and cmd/bench use it to time the
-	// reference loop.
+	// is speed; equivalence tests, perfbench's correctness checks and the
+	// engine benchmarks use it to run and time the reference loop.
 	Reference bool
 	// NoTable forces interface dispatch (Protocol.Step / Protocol.Stable)
 	// even for Tabular protocols, keeping the scheduler-specialized
 	// kernel engaged. The protocol axis consumes no randomness, so
 	// results are byte-identical with or without fusion; equivalence
-	// tests and cmd/bench use it to isolate the table-vs-interface
-	// speedup.
+	// tests and the engine benchmarks' "step" variant use it to isolate
+	// the table-vs-interface speedup.
 	NoTable bool
 	// Meter, if non-nil, receives flight-recorder accounting — steps,
 	// chunks, RNG refills, drops, observer calls, kernel dispatch — once

@@ -401,6 +401,9 @@ func ParseScheduler(spec string, g Graph, r *Rand) (Scheduler, error) {
 		case len(parts) != 1:
 			return nil, argErr("")
 		}
+		if err := sim.CheckAliasSize(g); err != nil {
+			return nil, fmt.Errorf("popgraph: bad scheduler spec %q: %w", spec, err)
+		}
 		rates := make([]float64, 0, g.M())
 		switch model {
 		case "exp":

@@ -1,6 +1,7 @@
 package popgraph_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -122,8 +123,15 @@ func TestParseGraphRangeErrors(t *testing.T) {
 		"ws:10:3:0.1", "ws:10:0:0.1", "ws:8:8:0.1", "ws:2:2:0.1",
 		"ws:10:4:-0.5", "ws:10:4:1.5",
 		"ba:10:0", "ba:5:5", "ba:5:6", "ba:1:1", "ba:10:-2",
+		"gnp:10:NaN", "torus:3x100000000000",
 	} {
-		g, err := popgraph.ParseGraph(spec, r)
+		var (
+			g   popgraph.Graph
+			err error
+		)
+		if b := allocated(func() { g, err = popgraph.ParseGraph(spec, r) }); b > maxRejectAlloc {
+			t.Errorf("spec %q: rejecting it allocated %d bytes", spec, b)
+		}
 		if err == nil {
 			t.Errorf("spec %q accepted (built %s)", spec, g.Name())
 			continue
@@ -132,6 +140,19 @@ func TestParseGraphRangeErrors(t *testing.T) {
 			t.Errorf("spec %q: error %q does not name the spec", spec, err)
 		}
 	}
+}
+
+// maxRejectAlloc bounds what a parser may allocate while rejecting a
+// spec: an error message, never a buffer sized by the spec's graph.
+const maxRejectAlloc = 64 << 10
+
+// allocated returns the bytes the heap handed out while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestParseScheduler(t *testing.T) {
@@ -174,6 +195,22 @@ func TestParseSchedulerErrors(t *testing.T) {
 		_, err := popgraph.ParseScheduler(spec, g, r)
 		if err == nil {
 			t.Errorf("spec %q accepted", spec)
+			continue
+		}
+		if !strings.Contains(err.Error(), spec) {
+			t.Errorf("spec %q: error %q does not name the spec", spec, err)
+		}
+	}
+	// The alias-table schedulers index edges and nodes with int32; a
+	// larger graph is an error, found before any per-edge buffer exists.
+	huge := popgraph.Clique(99999999999999)
+	for _, spec := range []string{"weighted", "weighted:degprod", "node-clock"} {
+		var err error
+		if b := allocated(func() { _, err = popgraph.ParseScheduler(spec, huge, r) }); b > maxRejectAlloc {
+			t.Errorf("spec %q on %s: rejecting it allocated %d bytes", spec, huge.Name(), b)
+		}
+		if err == nil {
+			t.Errorf("spec %q accepted on %s", spec, huge.Name())
 			continue
 		}
 		if !strings.Contains(err.Error(), spec) {

@@ -113,19 +113,31 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // the same loop dispatching through Protocol.Step ("step", forced via
 // Options.NoTable), and the generic EdgeSampler loop ("generic", forced
 // via Options.Sampler). specialized against step is the table speedup of
-// each fused kernel. ns/op is ns per interaction. Runs that stabilize
-// before b.N steps are restarted, so every op is a real interaction.
+// each fused kernel. The fast protocol (cells under "fast/") is not
+// Tabular, so its specialized loop is Step dispatch into its own level
+// table. ns/op is ns per interaction. Runs that stabilize before b.N
+// steps are restarted, so every op is a real interaction.
 func BenchmarkEngine(b *testing.B) {
+	sixState := func(popgraph.Graph) func() popgraph.Protocol { return popgraph.NewSixState }
+	fast := func(g popgraph.Graph) func() popgraph.Protocol {
+		params := popgraph.FastTunedParams(g, popgraph.EstimateBroadcastTime(g, popgraph.NewRand(1)))
+		return func() popgraph.Protocol { return popgraph.NewFast(params) }
+	}
 	cases := []struct {
-		name string
-		g    popgraph.Graph
+		name    string
+		g       popgraph.Graph
+		proto   func(popgraph.Graph) func() popgraph.Protocol
+		engines []string
 	}{
-		{"clique-1024", popgraph.Clique(1024)},
-		{"torus-32x32", popgraph.Torus(32, 32)},
-		{"lollipop-64-64", popgraph.Lollipop(64, 64)},
+		{"clique-1024", popgraph.Clique(1024), sixState, []string{"specialized", "step", "generic"}},
+		{"torus-32x32", popgraph.Torus(32, 32), sixState, []string{"specialized", "step", "generic"}},
+		{"lollipop-64-64", popgraph.Lollipop(64, 64), sixState, []string{"specialized", "step", "generic"}},
+		{"fast/torus-32x32", popgraph.Torus(32, 32), fast, []string{"specialized", "generic"}},
+		{"fast/clique-1024", popgraph.Clique(1024), fast, []string{"specialized", "generic"}},
 	}
 	for _, c := range cases {
-		for _, engine := range []string{"specialized", "step", "generic"} {
+		newProtocol := c.proto(c.g)
+		for _, engine := range c.engines {
 			b.Run(c.name+"/"+engine, func(b *testing.B) {
 				opts := popgraph.Options{NoTable: engine == "step"}
 				if engine == "generic" {
@@ -134,7 +146,7 @@ func BenchmarkEngine(b *testing.B) {
 				r := popgraph.NewRand(1)
 				for done := int64(0); done < int64(b.N); {
 					opts.MaxSteps = int64(b.N) - done
-					done += popgraph.Run(c.g, popgraph.NewSixState(), r, opts).Steps
+					done += popgraph.Run(c.g, newProtocol(), r, opts).Steps
 				}
 			})
 		}

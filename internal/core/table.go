@@ -26,11 +26,11 @@ package core
 
 import "fmt"
 
-// MaxTableStates bounds the state count of a TransitionTable. Constant-
-// state protocols use a handful of states; the bound keeps k² cells
-// (4·k² bytes) comfortably cache-resident and the packed cell encoding
-// valid (state indices must fit a byte).
-const MaxTableStates = 64
+// MaxTableStates bounds the state count of a TransitionTable: the packed
+// cell encoding stores state indices in bytes. Constant-state protocols
+// use a handful of states; the fast protocol's level machine uses up to
+// the full 256 (k² cells, at most 256 KiB).
+const MaxTableStates = 256
 
 // TableDeltaBias is the bias added to the per-cell counter deltas when
 // they are packed into a cell's upper bytes: a delta d is stored as the
@@ -131,7 +131,7 @@ func tableErrorf(format string, args ...interface{}) error {
 // Validation is total: beyond shape and range checks, every cell's
 // packed counter-delta lanes are recomputed from the successor states
 // and the role/gap weights and must match the stored bytes exactly
-// (k² ≤ 4096 cells, so the cross-check is trivially cheap). A table
+// (k² ≤ 65536 cells, so the cross-check is cheap). A table
 // that passes is indistinguishable from one NewTransitionTable built
 // over the same transition function.
 func TableFromParts(k int, cells []uint32, roles []Role, gapW []int, gapTarget int) (*TransitionTable, error) {

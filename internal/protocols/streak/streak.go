@@ -1,7 +1,9 @@
-// Package streak implements the space-efficient local approximate clock of
+// Package streak samples the space-efficient local approximate clock of
 // Section 5.1: each node keeps a streak counter in {0, ..., h}; an
 // initiator increments it, a responder resets it to zero, and reaching h
-// "completes a streak" (a clock tick) and resets the counter.
+// "completes a streak" (a clock tick) and resets the counter. The clock
+// itself runs inside the fast protocol (internal/protocols/fastelect);
+// this package holds its distributions.
 //
 // The number K of interactions a node needs to complete a streak is the
 // number of fair coin flips to see h consecutive heads:
@@ -10,7 +12,7 @@
 //	Geom(2^{-h}) ⪯ K ⪯ Geom(2^{-h-1})+h (Lemma 26)
 //
 // and the number of scheduler steps X(d) for a degree-d node satisfies
-// E[X(d)] = E[K]·m/d (Lemma 27b). The package also provides the direct
+// E[X(d)] = E[K]·m/d (Lemma 27b). The package provides the direct
 // samplers for K, X(d), R and S(d, ℓ) used by experiment E8.
 package streak
 
@@ -19,54 +21,6 @@ import (
 
 	"popgraph/internal/xrand"
 )
-
-// Clock is a per-population array of streak counters. The zero value is
-// unusable; create with NewClock.
-type Clock struct {
-	h      int
-	streak []uint16
-}
-
-// NewClock returns a clock with streak-completion length h >= 1 for a
-// population of n nodes. It uses exactly h+1 states per node.
-func NewClock(h, n int) *Clock {
-	if h < 1 {
-		panic(fmt.Sprintf("streak: h must be >= 1, got %d", h))
-	}
-	if h > 60 {
-		panic(fmt.Sprintf("streak: h = %d unreasonably large", h))
-	}
-	return &Clock{h: h, streak: make([]uint16, n)}
-}
-
-// H returns the streak length parameter.
-func (c *Clock) H() int { return c.h }
-
-// States returns the number of local states, h+1.
-func (c *Clock) States() int { return c.h + 1 }
-
-// Reset zeroes all counters.
-func (c *Clock) Reset() {
-	for i := range c.streak {
-		c.streak[i] = 0
-	}
-}
-
-// Tick processes one interaction with initiator u and responder v and
-// reports whether u completed a streak (the clock "ticked" at u).
-func (c *Clock) Tick(u, v int) bool {
-	c.streak[v] = 0
-	s := c.streak[u] + 1
-	if int(s) == c.h {
-		c.streak[u] = 0
-		return true
-	}
-	c.streak[u] = s
-	return false
-}
-
-// Counter returns node v's current streak value (for tests).
-func (c *Clock) Counter(v int) int { return int(c.streak[v]) }
 
 // SampleK draws the number of interactions a fixed node needs to complete
 // one streak of length h: fair coin flips until h consecutive heads.

@@ -7,59 +7,6 @@ import (
 	"popgraph/internal/xrand"
 )
 
-func TestClockBasics(t *testing.T) {
-	c := NewClock(3, 4)
-	if c.H() != 3 || c.States() != 4 {
-		t.Fatalf("h=%d states=%d", c.H(), c.States())
-	}
-	// Node 0 initiates three times in a row: completes exactly at the third.
-	if c.Tick(0, 1) || c.Tick(0, 2) {
-		t.Fatal("premature completion")
-	}
-	if !c.Tick(0, 1) {
-		t.Fatal("expected completion at streak length 3")
-	}
-	if c.Counter(0) != 0 {
-		t.Fatal("counter must reset after completion")
-	}
-}
-
-func TestResponderResetsStreak(t *testing.T) {
-	c := NewClock(2, 3)
-	c.Tick(0, 1) // node 0 at streak 1
-	c.Tick(2, 0) // node 0 responds: reset
-	if c.Counter(0) != 0 {
-		t.Fatal("responder streak not reset")
-	}
-	c.Tick(0, 1)
-	if !c.Tick(0, 1) {
-		t.Fatal("fresh streak of 2 should complete")
-	}
-}
-
-func TestClockReset(t *testing.T) {
-	c := NewClock(5, 2)
-	c.Tick(0, 1)
-	c.Tick(0, 1)
-	c.Reset()
-	if c.Counter(0) != 0 || c.Counter(1) != 0 {
-		t.Fatal("Reset did not zero counters")
-	}
-}
-
-func TestNewClockValidation(t *testing.T) {
-	for _, h := range []int{0, -1, 61} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("h=%d: expected panic", h)
-				}
-			}()
-			NewClock(h, 1)
-		}()
-	}
-}
-
 // TestExpectedKFormula verifies Lemma 27a closed form against simulation:
 // E[K] = 2^{h+1} − 2.
 func TestExpectedKFormula(t *testing.T) {
@@ -185,12 +132,4 @@ func TestSampleXValidation(t *testing.T) {
 		}
 	}()
 	SampleX(2, 5, 3, xrand.New(1)) // d > m
-}
-
-func BenchmarkTick(b *testing.B) {
-	c := NewClock(8, 1024)
-	r := xrand.New(1)
-	for i := 0; i < b.N; i++ {
-		c.Tick(r.Intn(1024), r.Intn(1024))
-	}
 }

@@ -43,8 +43,8 @@ func equivalenceCases() []equivalenceCase {
 			equivalenceCase{g, id, g.Name() + "/identifier"},
 		)
 	}
-	// Fast protocol on one Dense graph and the clique: its Reset draws
-	// randomness, checking the Reset-then-block-sampling boundary.
+	// Fast protocol on one Dense graph and the clique: Step dispatch into
+	// a protocol that keeps its own compiled level table.
 	fastFor := func(g graph.Graph) func() Protocol {
 		params := fastelect.TunedParams(g, 8*float64(g.N()))
 		return func() Protocol { return fastelect.New(params) }
@@ -231,7 +231,9 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 	// star protocol (Tabular, star graphs only) ride a trimmed grid —
 	// full scheduler × drop coverage, fewer caps/observer cadences — to
 	// keep the matrix fast. Options.NoTable doubles as the interface-
-	// dispatch control for every Tabular protocol.
+	// dispatch control for every Tabular protocol. fast (not Tabular: a
+	// streak clock in front of its internal level table) rides the same
+	// trimmed grid with a small level cap, so runs reach the backup.
 	protoCases := []struct {
 		tag     string
 		make    func(g graph.Graph) func() Protocol
@@ -271,6 +273,16 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 			on: func(g graph.Graph) bool {
 				return g.N() >= 3 && graph.MaxDegree(g) == g.N()-1 && g.M() == g.N()-1
 			},
+			caps:    []int64{511, 0},
+			everies: []int64{-1, 7},
+			seeds:   1,
+		},
+		{
+			tag: "fast",
+			make: func(graph.Graph) func() Protocol {
+				return func() Protocol { return fastelect.New(fastelect.Params{H: 2, L: 2, AlphaL: 5}) }
+			},
+			on:      func(graph.Graph) bool { return true },
 			caps:    []int64{511, 0},
 			everies: []int64{-1, 7},
 			seeds:   1,

@@ -90,22 +90,6 @@ func BenchmarkElection(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughput measures raw interactions/second of the
-// scheduler + protocol hot loop (six-state on a clique never stabilizes
-// quickly at this size, so all b.N iterations are protocol steps).
-func BenchmarkEngineThroughput(b *testing.B) {
-	g := popgraph.Clique(1024)
-	p := popgraph.NewSixState()
-	r := popgraph.NewRand(1)
-	res := popgraph.Run(g, p, r, popgraph.Options{MaxSteps: 1})
-	_ = res
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u, v := g.SampleEdge(r)
-		p.Step(u, v)
-	}
-}
-
 // BenchmarkEngine compares the full engine per interaction — scheduler
 // sampling + protocol step + stability check — on each concrete graph
 // representation across three engines: the type-specialized

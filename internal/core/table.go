@@ -21,6 +21,12 @@
 // Each table cell carries the (Δleaders, Δgap) of its transition, so
 // Leaders() and Stable() stay O(1) while the kernel never calls out of
 // its loop. Tests cross-check both counters against full state scans.
+//
+// Machine is a table running on a population: the per-node state bytes
+// plus the two counters. It is the whole runtime of a constant-state
+// protocol — Step, Output, Leaders and Stable — so a protocol package
+// supplies only its rule function, its role and gap weights, and the
+// initial states.
 
 package core
 
@@ -62,15 +68,14 @@ type TransitionTable struct {
 }
 
 // NewTransitionTable compiles a protocol's transition function into a
-// table. step is the pure pairwise transition (initiator, responder) →
-// successors; it is queried once per ordered state pair, so generating
-// it from a protocol's existing Step logic keeps the hand-written
-// transitions the single source of truth. role maps each state to its
-// output. gapWeight and gapTarget define the stability functional: the
-// caller guarantees that, on every configuration reachable from the
-// protocol's initial ones, Σ_v gapWeight(state(v)) == gapTarget holds
-// exactly when the protocol's Stable() predicate does. (Unreachable
-// configurations may disagree; no run visits them.)
+// table. step is the protocol's pure pairwise rule (initiator,
+// responder) → successors, queried once per ordered state pair. role
+// maps each state to its output. gapWeight and gapTarget define the
+// stability functional: the caller guarantees that, on every
+// configuration reachable from the protocol's initial ones,
+// Σ_v gapWeight(state(v)) == gapTarget holds exactly when the
+// configuration is stable. (Unreachable configurations may disagree; no
+// run visits them.)
 //
 // Errors: k outside [1, MaxTableStates], a successor state out of
 // range, an invalid role, or a weight large enough to overflow a cell's
@@ -215,3 +220,65 @@ func (t *TransitionTable) Apply(states []uint8, u, v int) (dLeaders, dGap int) {
 	states[u], states[v] = uint8(c>>8), uint8(c)
 	return int(c>>16&0xff) - TableDeltaBias, int(c>>24) - TableDeltaBias
 }
+
+// Machine runs a TransitionTable on a population: the per-node state
+// bytes and the incrementally maintained (leaders, gap) counters. A
+// constant-state protocol embeds one, which makes the machine's Step,
+// Output, Leaders and Stable the protocol's own; the simulator's fused
+// kernels (internal/sim) run the same cells in their inner loops,
+// reading States and Counters at the start of a chunk and storing the
+// counters back with SetCounters before they return.
+type Machine struct {
+	table   *TransitionTable
+	states  []uint8
+	leaders int
+	gap     int // Σ gapWeight(state) − gapTarget; stable iff 0
+}
+
+// NewMachine returns a machine that runs t and has no nodes yet; Load
+// installs them. A nil t yields a machine that cannot run, which lets a
+// protocol whose input admits no table (majority's ties) report that
+// through Table.
+func NewMachine(t *TransitionTable) Machine { return Machine{table: t} }
+
+// Load installs states as the per-node configuration (the slice is
+// kept, not copied) and computes both counters by scan. Every entry
+// must be < Table().K().
+func (m *Machine) Load(states []uint8) {
+	m.states = states
+	m.leaders, m.gap = m.table.Counters(states)
+}
+
+// TableMachine returns m. A protocol that embeds a Machine thereby
+// implements sim.Tabular, whose one method this is.
+func (m *Machine) TableMachine() *Machine { return m }
+
+// Table returns the compiled transition table, nil when there is none.
+func (m *Machine) Table() *TransitionTable { return m.table }
+
+// States returns the live per-node state bytes, aliased: the fused
+// kernels mutate them in place.
+func (m *Machine) States() []uint8 { return m.states }
+
+// Counters returns the maintained (leaders, gap) pair.
+func (m *Machine) Counters() (leaders, gap int) { return m.leaders, m.gap }
+
+// SetCounters stores the (leaders, gap) pair a kernel maintained in its
+// own locals while it mutated States.
+func (m *Machine) SetCounters(leaders, gap int) { m.leaders, m.gap = leaders, gap }
+
+// Step applies one interaction, initiator u and responder v.
+func (m *Machine) Step(u, v int) {
+	dl, dg := m.table.Apply(m.states, u, v)
+	m.leaders += dl
+	m.gap += dg
+}
+
+// Output returns node v's role.
+func (m *Machine) Output(v int) Role { return m.table.Role(m.states[v]) }
+
+// Leaders returns the number of nodes outputting Leader.
+func (m *Machine) Leaders() int { return m.leaders }
+
+// Stable reports whether the configuration is stable: the gap is zero.
+func (m *Machine) Stable() bool { return m.gap == 0 }

@@ -14,10 +14,9 @@
 // worst-case hitting time of a classic random walk on G (Theorem 16,
 // via Sudo et al. 2021).
 //
-// The protocol is sim.Tabular: its six states fit a compiled
-// core.TransitionTable, generated from Step itself (a two-node probe per
-// state pair), so execution plans fuse it into the table kernels while
-// the hand-written transition stays the single source of truth.
+// The protocol is sim.Tabular: it embeds a core.Machine running the
+// six-state table compiled from core.TokenTransition, so execution plans
+// fuse it into the table kernels and Step is a table lookup.
 package beauquier
 
 import (
@@ -31,20 +30,17 @@ import (
 )
 
 // Protocol is the six-state token protocol. Use New or NewWithCandidates.
-// States are stored as raw core.TokenState bytes so the fused table
-// kernels can operate on them in place.
+// States are raw core.TokenState bytes.
 type Protocol struct {
+	core.Machine
 	candidates []int // nil means "all nodes are candidates"
-	states     []uint8
-	counts     core.TokenCounts
-	table      *core.TransitionTable
 }
 
 var _ sim.Tabular = (*Protocol)(nil)
 
 // New returns the protocol with every node starting as a leader candidate,
 // the standard leader-election input.
-func New() *Protocol { return &Protocol{} }
+func New() *Protocol { return &Protocol{Machine: core.NewMachine(sharedTable())} }
 
 // NewWithCandidates returns the protocol with the given nonempty candidate
 // set as input, the variant used as a backup protocol (Theorem 16 input).
@@ -52,7 +48,9 @@ func NewWithCandidates(candidates []int) *Protocol {
 	if len(candidates) == 0 {
 		panic("beauquier: candidate set must be nonempty")
 	}
-	return &Protocol{candidates: append([]int(nil), candidates...)}
+	p := New()
+	p.candidates = append([]int(nil), candidates...)
+	return p
 }
 
 // Name implements sim.Protocol.
@@ -64,79 +62,45 @@ func (p *Protocol) StateCount(int) float64 { return 6 }
 // Reset implements sim.Protocol.
 func (p *Protocol) Reset(g graph.Graph, _ *xrand.Rand) {
 	n := g.N()
-	p.states = make([]uint8, n)
-	p.counts = core.TokenCounts{}
+	states := make([]uint8, n)
 	if p.candidates == nil {
-		for v := range p.states {
-			p.states[v] = uint8(core.CandidateBlack)
+		for v := range states {
+			states[v] = uint8(core.CandidateBlack)
 		}
-		p.counts = core.TokenCounts{Candidates: n, Black: n}
-		return
 	}
 	for _, v := range p.candidates {
 		if v < 0 || v >= n {
 			panic(fmt.Sprintf("beauquier: candidate %d out of range [0,%d)", v, n))
 		}
-		if p.states[v] == uint8(core.CandidateBlack) {
+		if states[v] == uint8(core.CandidateBlack) {
 			panic(fmt.Sprintf("beauquier: duplicate candidate %d", v))
 		}
-		p.states[v] = uint8(core.CandidateBlack)
-		p.counts.Add(core.CandidateBlack, 1)
+		states[v] = uint8(core.CandidateBlack)
 	}
+	p.Load(states)
 }
 
-// Step implements sim.Protocol.
-func (p *Protocol) Step(u, v int) {
-	a, b := core.TokenState(p.states[u]), core.TokenState(p.states[v])
-	na, nb := core.TokenTransition(a, b)
-	if na != a {
-		p.counts.Add(a, -1)
-		p.counts.Add(na, 1)
-		p.states[u] = uint8(na)
+// Counts returns the token counters by a scan (tests).
+func (p *Protocol) Counts() core.TokenCounts {
+	var c core.TokenCounts
+	for _, s := range p.States() {
+		c.Add(core.TokenState(s), 1)
 	}
-	if nb != b {
-		p.counts.Add(b, -1)
-		p.counts.Add(nb, 1)
-		p.states[v] = uint8(nb)
-	}
+	return c
 }
-
-// Output implements sim.Protocol.
-func (p *Protocol) Output(v int) core.Role { return core.TokenState(p.states[v]).Role() }
-
-// Leaders implements sim.Protocol.
-func (p *Protocol) Leaders() int { return p.counts.Candidates }
-
-// Stable implements sim.Protocol: one black token, no white tokens.
-func (p *Protocol) Stable() bool { return p.counts.Stable() }
-
-// Counts exposes the token counters for tests and instrumentation.
-func (p *Protocol) Counts() core.TokenCounts { return p.counts }
 
 // State exposes node v's raw state for tests and instrumentation.
-func (p *Protocol) State(v int) core.TokenState { return core.TokenState(p.states[v]) }
+func (p *Protocol) State(v int) core.TokenState { return core.TokenState(p.States()[v]) }
 
-// Table implements sim.Tabular. The six persistent states are the
-// core.TokenState byte values 0..5; the stability functional is
-// #black + #white − 1, which is zero exactly on stable configurations
-// by the invariant #black >= 1. Unless UseTable installed one, every
-// instance returns the same table, built once per process by probing
-// Step itself over every state pair, so the hand-written transition
-// remains the single source of truth.
-func (p *Protocol) Table() *core.TransitionTable {
-	if p.table != nil {
-		return p.table
-	}
-	return sharedTable()
-}
-
-// sharedTable is the process-wide probe-built table.
+// sharedTable is the six-state machine, built once per process. The six
+// persistent states are the core.TokenState byte values 0..5; the
+// stability functional is #black + #white − 1, which is zero exactly on
+// stable configurations by the invariant #black >= 1.
 var sharedTable = sync.OnceValue(func() *core.TransitionTable {
 	tab, err := core.NewTransitionTable(6,
 		func(a, b uint8) (uint8, uint8) {
-			probe := &Protocol{states: []uint8{a, b}}
-			probe.Step(0, 1)
-			return probe.states[0], probe.states[1]
+			na, nb := core.TokenTransition(core.TokenState(a), core.TokenState(b))
+			return uint8(na), uint8(nb)
 		},
 		func(s uint8) core.Role { return core.TokenState(s).Role() },
 		func(s uint8) int {
@@ -153,34 +117,15 @@ var sharedTable = sync.OnceValue(func() *core.TransitionTable {
 })
 
 // UseTable installs a previously compiled transition table (revived
-// from a binary snapshot) so Table returns it without re-probing Step.
-// Only the state count is checked here: a table that cleared
-// core.TableFromParts is internally consistent, and the probe-built
-// table is deterministic, so a table an encoder obtained from Table()
-// is the one Table() would rebuild.
+// from a binary snapshot) in place of the process-wide one; call it
+// before Reset. Only the state count is checked here: a table that
+// cleared core.TableFromParts is internally consistent, and the
+// built table is deterministic, so a table an encoder obtained from
+// Table() is the one New would build.
 func (p *Protocol) UseTable(t *core.TransitionTable) error {
 	if t == nil || t.K() != 6 {
 		return fmt.Errorf("beauquier: preloaded table must have 6 states")
 	}
-	p.table = t
+	p.Machine = core.NewMachine(t)
 	return nil
-}
-
-// TableStates implements sim.Tabular: the live state bytes, aliased.
-func (p *Protocol) TableStates() []uint8 { return p.states }
-
-// ReloadCounters implements sim.Tabular: after a fused kernel mutated
-// the state array directly, rebuild the token counters by full scan.
-// (The table's two integers cannot be split back into black vs white
-// counts, so the scan is the reconciliation.) The kernel's leader count
-// doubles as a cross-check of the counter maintenance.
-func (p *Protocol) ReloadCounters(leaders, _ int) {
-	var c core.TokenCounts
-	for _, s := range p.states {
-		c.Add(core.TokenState(s), 1)
-	}
-	if c.Candidates != leaders {
-		panic(fmt.Sprintf("beauquier: table kernel leader count %d, state scan %d", leaders, c.Candidates))
-	}
-	p.counts = c
 }

@@ -27,9 +27,10 @@
 // opinion 1 to core.Leader and opinion 0 to core.Follower (so Leaders()
 // counts the nodes currently outputting 1 — a Result's Leader field is
 // usually −1, majority being a many-winners problem). Its four states
-// also make it sim.Tabular: the transition table, generated from Step
-// itself, depends on the input's majority sign (the stability functional
-// counts the losing side's nodes), so it is compiled per input set.
+// also make it sim.Tabular: it embeds a core.Machine running the table
+// compiled from transition. The table depends on the input's majority
+// sign (the stability functional counts the losing side's nodes), so
+// there is one per sign.
 package majority
 
 import (
@@ -54,17 +55,16 @@ const (
 
 // Protocol is the 4-state exact majority protocol.
 type Protocol struct {
+	core.Machine
 	inputs []bool // initial opinions, fixed at New
-	states []uint8
-
-	counts [4]int
-	margin int // #ones − #zeros of inputs
+	margin int    // #ones − #zeros of inputs
 }
 
 var _ sim.Tabular = (*Protocol)(nil)
 
 // New returns the protocol with the given initial opinions (length must
-// equal the graph size at Reset; must not be a tie).
+// equal the graph size at Reset; must not be a tie). Tie inputs get no
+// table: Table returns nil and Reset panics.
 func New(inputs []bool) *Protocol {
 	ones := 0
 	for _, b := range inputs {
@@ -72,7 +72,14 @@ func New(inputs []bool) *Protocol {
 			ones++
 		}
 	}
-	return &Protocol{inputs: append([]bool(nil), inputs...), margin: 2*ones - len(inputs)}
+	p := &Protocol{inputs: append([]bool(nil), inputs...), margin: 2*ones - len(inputs)}
+	switch {
+	case p.margin > 0:
+		p.Machine = core.NewMachine(onesWinTable())
+	case p.margin < 0:
+		p.Machine = core.NewMachine(zerosWinTable())
+	}
+	return p
 }
 
 // Name identifies the protocol.
@@ -90,35 +97,18 @@ func (p *Protocol) Reset(g graph.Graph, _ *xrand.Rand) {
 	if p.margin == 0 {
 		panic("majority: tie inputs never stabilize; supply a strict majority")
 	}
-	p.states = make([]uint8, n)
-	p.counts = [4]int{}
+	states := make([]uint8, n)
 	for v, b := range p.inputs {
 		if b {
-			p.states[v] = strong1
+			states[v] = strong1
 		} else {
-			p.states[v] = strong0
+			states[v] = strong0
 		}
-		p.counts[p.states[v]]++
 	}
+	p.Load(states)
 }
 
-// Step applies one interaction (u initiator, v responder).
-func (p *Protocol) Step(u, v int) {
-	a, b := p.states[u], p.states[v]
-	na, nb := transition(a, b)
-	if na != a {
-		p.counts[a]--
-		p.counts[na]++
-		p.states[u] = na
-	}
-	if nb != b {
-		p.counts[b]--
-		p.counts[nb]++
-		p.states[v] = nb
-	}
-}
-
-// transition implements the four-state rules.
+// transition implements the four-state rules (u initiator, v responder).
 func transition(a, b state) (state, state) {
 	switch {
 	// Annihilation: opposite strong opinions cancel into weak ones.
@@ -143,55 +133,28 @@ func transition(a, b state) (state, state) {
 }
 
 // Opinion returns node v's current output opinion.
-func (p *Protocol) Opinion(v int) bool {
-	s := p.states[v]
-	return s == weak1 || s == strong1
-}
+func (p *Protocol) Opinion(v int) bool { return isOne(p.States()[v]) }
 
-// Output implements sim.Protocol: opinion 1 outputs Leader, opinion 0
-// Follower (the Role encoding of the binary opinion).
-func (p *Protocol) Output(v int) core.Role {
-	if p.Opinion(v) {
-		return core.Leader
+// isOne reports whether state s outputs opinion 1.
+func isOne(s state) bool { return s == weak1 || s == strong1 }
+
+// Ones returns the number of nodes currently outputting opinion 1: the
+// machine's leader count, opinion 1 being encoded as core.Leader.
+func (p *Protocol) Ones() int { return p.Leaders() }
+
+// StrongDifference returns #strong1 − #strong0 by a scan: the conserved
+// quantity equal to the input difference; tests assert its invariance.
+func (p *Protocol) StrongDifference() int {
+	d := 0
+	for _, s := range p.States() {
+		switch s {
+		case strong1:
+			d++
+		case strong0:
+			d--
+		}
 	}
-	return core.Follower
-}
-
-// Ones returns the number of nodes currently outputting opinion 1.
-func (p *Protocol) Ones() int { return p.counts[weak1] + p.counts[strong1] }
-
-// Leaders implements sim.Protocol: the number of nodes outputting
-// opinion 1 (see Output).
-func (p *Protocol) Leaders() int { return p.Ones() }
-
-// StrongDifference returns #strong1 − #strong0, the conserved quantity
-// equal to the input difference; tests assert its invariance.
-func (p *Protocol) StrongDifference() int { return p.counts[strong1] - p.counts[strong0] }
-
-// Stable reports whether the configuration is stable: only one sign
-// remains (weak and strong), so no rule can ever change an output.
-func (p *Protocol) Stable() bool {
-	zeros := p.counts[weak0] + p.counts[strong0]
-	ones := p.counts[weak1] + p.counts[strong1]
-	return (zeros == 0 && p.counts[strong1] > 0) || (ones == 0 && p.counts[strong0] > 0)
-}
-
-// Table implements sim.Tabular. The stability functional counts the
-// losing side's nodes (weak and strong) with target 0: the conserved
-// strong difference keeps the winning side's strong count positive, so
-// "no loser left" is exactly Stable() on every reachable configuration.
-// The sign, and hence the table, is fixed by the inputs; tie inputs
-// return nil (Reset rejects them anyway). There are two tables, one per
-// winning opinion, each built once per process by probing Step over
-// every state pair and shared by every instance.
-func (p *Protocol) Table() *core.TransitionTable {
-	switch {
-	case p.margin > 0:
-		return onesWinTable()
-	case p.margin < 0:
-		return zerosWinTable()
-	}
-	return nil
+	return d
 }
 
 var (
@@ -199,29 +162,22 @@ var (
 	zerosWinTable = sync.OnceValue(func() *core.TransitionTable { return buildTable(false) })
 )
 
-// buildTable probes Step for the table of inputs whose majority opinion
-// is 1 (onesWin) or 0.
+// buildTable compiles the machine for inputs whose majority opinion is
+// 1 (onesWin) or 0. Opinion 1 outputs Leader, opinion 0 Follower. The
+// stability functional counts the losing side's nodes (weak and strong)
+// with target 0: the conserved strong difference keeps the winning
+// side's strong count positive, so "no loser left" is exactly "only one
+// sign remains", after which no rule can change an output.
 func buildTable(onesWin bool) *core.TransitionTable {
-	losing := func(s uint8) bool {
-		if onesWin {
-			return s == weak0 || s == strong0
-		}
-		return s == weak1 || s == strong1
-	}
-	tab, err := core.NewTransitionTable(4,
-		func(a, b uint8) (uint8, uint8) {
-			probe := &Protocol{states: []uint8{a, b}}
-			probe.Step(0, 1)
-			return probe.states[0], probe.states[1]
-		},
+	tab, err := core.NewTransitionTable(4, transition,
 		func(s uint8) core.Role {
-			if s == weak1 || s == strong1 {
+			if isOne(s) {
 				return core.Leader
 			}
 			return core.Follower
 		},
 		func(s uint8) int {
-			if losing(s) {
+			if isOne(s) != onesWin {
 				return 1
 			}
 			return 0
@@ -231,21 +187,4 @@ func buildTable(onesWin bool) *core.TransitionTable {
 		panic("majority: " + err.Error())
 	}
 	return tab
-}
-
-// TableStates implements sim.Tabular: the live state bytes, aliased.
-func (p *Protocol) TableStates() []uint8 { return p.states }
-
-// ReloadCounters implements sim.Tabular: rebuild the four state counts
-// by full scan after a fused kernel mutated the state array directly;
-// the kernel's leader count cross-checks the counter maintenance.
-func (p *Protocol) ReloadCounters(leaders, _ int) {
-	var c [4]int
-	for _, s := range p.states {
-		c[s]++
-	}
-	if ones := c[weak1] + c[strong1]; ones != leaders {
-		panic(fmt.Sprintf("majority: table kernel ones count %d, state scan %d", leaders, ones))
-	}
-	p.counts = c
 }

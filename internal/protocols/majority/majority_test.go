@@ -161,7 +161,7 @@ func TestCountersMatchScans(t *testing.T) {
 		p.Step(u, v)
 		var scan [4]int
 		for w := 0; w < 16; w++ {
-			scan[p.states[w]]++
+			scan[p.States()[w]]++
 		}
 		if ones := scan[weak1] + scan[strong1]; ones != p.Ones() || ones != p.Leaders() {
 			t.Fatalf("step %d: Ones()/Leaders() %d/%d != scan %d", i, p.Ones(), p.Leaders(), ones)
@@ -185,12 +185,25 @@ func TestCountersMatchScans(t *testing.T) {
 	t.Fatal("run did not stabilize within 20000 steps")
 }
 
-// TestTableMatchesStep — the per-sign generated tables agree with the
-// hand-written transition on every state pair, and their stability
-// functional (no losing-side nodes left) matches Stable on reachable
-// configurations of either sign. Each sign's table is built once:
+// TestTableMatchesStep — Step, which runs the per-sign compiled table,
+// follows the rules of the package documentation on every state pair
+// (pairs not listed are no-ops), and each table's stability functional
+// (no losing-side nodes left) matches stability on reachable
+// configurations of its sign. Each sign's table is built once:
 // instances with the same majority share it, whatever their size.
 func TestTableMatchesStep(t *testing.T) {
+	rules := map[[2]state][2]state{
+		{strong0, strong1}: {weak0, weak1}, // annihilation
+		{strong1, strong0}: {weak1, weak0},
+		{strong0, weak0}:   {weak0, strong0}, // walk + convert
+		{strong0, weak1}:   {weak0, strong0},
+		{strong1, weak0}:   {weak1, strong1},
+		{strong1, weak1}:   {weak1, strong1},
+		{weak0, strong0}:   {strong0, weak0},
+		{weak1, strong0}:   {strong0, weak0},
+		{weak0, strong1}:   {strong1, weak1},
+		{weak1, strong1}:   {strong1, weak1},
+	}
 	for _, ones := range []int{3, 1} { // majority-1 and majority-0 inputs
 		p := New(inputsWithOnes(4, ones))
 		tab := p.Table()
@@ -202,10 +215,15 @@ func TestTableMatchesStep(t *testing.T) {
 		}
 		for a := uint8(0); a < 4; a++ {
 			for b := uint8(0); b < 4; b++ {
-				wa, wb := transition(a, b)
-				na, nb := tab.Next(a, b)
-				if na != wa || nb != wb {
-					t.Fatalf("ones=%d (%d,%d): table (%d,%d), transition (%d,%d)", ones, a, b, na, nb, wa, wb)
+				want, ok := rules[[2]state{a, b}]
+				if !ok {
+					want = [2]state{a, b}
+				}
+				p.Load([]uint8{a, b})
+				p.Step(0, 1)
+				if got := p.States(); got[0] != want[0] || got[1] != want[1] {
+					t.Fatalf("ones=%d (%d,%d): Step gives (%d,%d), want (%d,%d)",
+						ones, a, b, got[0], got[1], want[0], want[1])
 				}
 			}
 		}

@@ -10,8 +10,8 @@
 // lower bound can hold on all graphs (Section 1.3).
 //
 // The protocol is only correct on stars; Reset rejects other graphs. Its
-// three states make it sim.Tabular: the compiled transition table is
-// generated from Step itself, so plans fuse it into the table kernels.
+// three states make it sim.Tabular: it embeds a core.Machine running the
+// table compiled from transition.
 package star
 
 import (
@@ -35,15 +35,13 @@ const (
 
 // Protocol is the trivial star protocol.
 type Protocol struct {
-	states  []uint8
-	leaders int
-	table   *core.TransitionTable
+	core.Machine
 }
 
 var _ sim.Tabular = (*Protocol)(nil)
 
 // New returns the star protocol.
-func New() *Protocol { return &Protocol{} }
+func New() *Protocol { return &Protocol{core.NewMachine(sharedTable())} }
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return "star-trivial" }
@@ -71,65 +69,35 @@ func (p *Protocol) Reset(g graph.Graph, _ *xrand.Rand) {
 			panic(fmt.Sprintf("star: graph %q is not a star (%d centers)", g.Name(), centers))
 		}
 	}
-	p.states = make([]uint8, n)
-	p.leaders = 0
+	p.Load(make([]uint8, n))
 }
 
-// Step implements sim.Protocol. Rules:
+// transition is the rule:
 //
 //	U + U -> L + F   (the only U+U edge on a star involves the center)
 //	L + U -> L + F, U + L -> F + L
 //	F + U -> F + F, U + F -> F + F
 //
 // all other pairs are no-ops.
-func (p *Protocol) Step(u, v int) {
-	a, b := p.states[u], p.states[v]
+func transition(a, b state) (state, state) {
 	switch {
 	case a == undecided && b == undecided:
-		p.states[u] = leader
-		p.states[v] = follower
-		p.leaders++
+		return leader, follower
 	case a == undecided:
-		p.states[u] = follower
+		return follower, b
 	case b == undecided:
-		p.states[v] = follower
+		return a, follower
 	}
+	return a, b
 }
 
-// Output implements sim.Protocol: undecided nodes output follower.
-func (p *Protocol) Output(v int) core.Role {
-	if p.states[v] == leader {
-		return core.Leader
-	}
-	return core.Follower
-}
-
-// Leaders implements sim.Protocol.
-func (p *Protocol) Leaders() int { return p.leaders }
-
-// Stable implements sim.Protocol. On a star, one leader exists only after
-// the center was decided, after which no interaction changes any output.
-func (p *Protocol) Stable() bool { return p.leaders == 1 }
-
-// Table implements sim.Tabular. The stability functional is the leader
-// count itself with target 1 — on stars leaders only ever reaches one.
-// Unless UseTable installed one, every instance returns the same table,
-// built once per process by probing Step over every state pair.
-func (p *Protocol) Table() *core.TransitionTable {
-	if p.table != nil {
-		return p.table
-	}
-	return sharedTable()
-}
-
-// sharedTable is the process-wide probe-built table.
+// sharedTable is the star machine, built once per process. Undecided
+// nodes output follower. The stability functional is the leader count
+// itself with target 1: on a star, one leader exists only after the
+// center was decided, after which no interaction changes any output,
+// and the leader count never exceeds one.
 var sharedTable = sync.OnceValue(func() *core.TransitionTable {
-	tab, err := core.NewTransitionTable(3,
-		func(a, b uint8) (uint8, uint8) {
-			probe := &Protocol{states: []uint8{a, b}}
-			probe.Step(0, 1)
-			return probe.states[0], probe.states[1]
-		},
+	tab, err := core.NewTransitionTable(3, transition,
 		func(s uint8) core.Role {
 			if s == leader {
 				return core.Leader
@@ -150,18 +118,12 @@ var sharedTable = sync.OnceValue(func() *core.TransitionTable {
 })
 
 // UseTable installs a previously compiled transition table (revived
-// from a binary snapshot) so Table returns it without re-probing Step.
+// from a binary snapshot) in place of the process-wide one; call it
+// before Reset.
 func (p *Protocol) UseTable(t *core.TransitionTable) error {
 	if t == nil || t.K() != 3 {
 		return fmt.Errorf("star: preloaded table must have 3 states")
 	}
-	p.table = t
+	p.Machine = core.NewMachine(t)
 	return nil
 }
-
-// TableStates implements sim.Tabular: the live state bytes, aliased.
-func (p *Protocol) TableStates() []uint8 { return p.states }
-
-// ReloadCounters implements sim.Tabular: the leader count is the only
-// counter, and the table maintains it exactly.
-func (p *Protocol) ReloadCounters(leaders, _ int) { p.leaders = leaders }

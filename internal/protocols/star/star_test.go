@@ -106,9 +106,10 @@ func TestCountersMatchScans(t *testing.T) {
 	}
 }
 
-// TestTableMatchesStep — the generated transition table agrees with the
-// hand-written Step on every state pair, roles and counters included,
-// and is built once: every instance returns the same table.
+// TestTableMatchesStep — Step, which runs the compiled table, follows
+// the rules of the package documentation on every state pair (pairs not
+// listed are no-ops), roles included, and the table is built once:
+// every instance returns the same table.
 func TestTableMatchesStep(t *testing.T) {
 	p := New()
 	tab := p.Table()
@@ -117,6 +118,13 @@ func TestTableMatchesStep(t *testing.T) {
 	}
 	if New().Table() != tab {
 		t.Fatal("two instances returned different tables")
+	}
+	rules := map[[2]uint8][2]uint8{
+		{undecided, undecided}: {leader, follower},
+		{leader, undecided}:    {leader, follower},
+		{undecided, leader}:    {follower, leader},
+		{follower, undecided}:  {follower, follower},
+		{undecided, follower}:  {follower, follower},
 	}
 	for a := uint8(0); a < 3; a++ {
 		wantRole := core.Follower
@@ -127,11 +135,14 @@ func TestTableMatchesStep(t *testing.T) {
 			t.Fatalf("state %d role %v, want %v", a, tab.Role(a), wantRole)
 		}
 		for b := uint8(0); b < 3; b++ {
-			probe := &Protocol{states: []uint8{a, b}}
-			probe.Step(0, 1)
-			na, nb := tab.Next(a, b)
-			if na != probe.states[0] || nb != probe.states[1] {
-				t.Fatalf("(%d,%d): table (%d,%d), Step (%d,%d)", a, b, na, nb, probe.states[0], probe.states[1])
+			want, ok := rules[[2]uint8{a, b}]
+			if !ok {
+				want = [2]uint8{a, b}
+			}
+			p.Load([]uint8{a, b})
+			p.Step(0, 1)
+			if got := p.States(); got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("(%d,%d): Step gives (%d,%d), want (%d,%d)", a, b, got[0], got[1], want[0], want[1])
 			}
 		}
 	}

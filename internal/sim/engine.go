@@ -47,12 +47,6 @@ type kernel interface {
 	// finish rewinds any prefetched randomness so the generator is left
 	// exactly where drawing one value at a time would have left it.
 	finish(r *xrand.Rand)
-	// sync reconciles the protocol's internal counters with any state
-	// the kernel mutated behind Protocol.Step's back; the plan calls it
-	// before every observer callback and at the end of the run. A no-op
-	// for Step-dispatch kernels, whose protocols maintain their own
-	// counters.
-	sync()
 	// stats returns the run's telemetry tallies: RNG block refills and
 	// interactions suppressed by drop injection. The counters are plain
 	// kernel-local ints bumped on paths that are already cold (the
@@ -180,7 +174,6 @@ func (kn *denseKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) 
 }
 
 func (kn *denseKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *denseKernel) sync()                 {}
 func (kn *denseKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
 
 // cliqueKernel is the uniform-scheduler loop for the implicit complete
@@ -234,7 +227,6 @@ func (kn *cliqueKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool)
 }
 
 func (kn *cliqueKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *cliqueKernel) sync()                 {}
 func (kn *cliqueKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
 
 // weightedKernel is the monomorphized alias-table loop for the Weighted
@@ -294,7 +286,6 @@ func (kn *weightedKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, boo
 }
 
 func (kn *weightedKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *weightedKernel) sync()                 {}
 func (kn *weightedKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
 
 // nodeClockKernel is the specialized loop for the NodeClock scheduler:
@@ -361,7 +352,6 @@ func (kn *nodeClockKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bo
 }
 
 func (kn *nodeClockKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *nodeClockKernel) sync()                 {}
 func (kn *nodeClockKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
 
 // uintn is xrand.Uintn fed from the block buffer: same guarded Lemire
@@ -411,5 +401,4 @@ func (kn *sourceKernel) run(p Protocol, r *xrand.Rand, t0, k int64) (int64, bool
 }
 
 func (kn *sourceKernel) finish(*xrand.Rand)    {}
-func (kn *sourceKernel) sync()                 {}
 func (kn *sourceKernel) stats() (int64, int64) { return 0, kn.drops }

@@ -15,12 +15,11 @@
 // would make — so a fused run produces byte-identical Results, observer
 // sequences and post-run generator state as the same configuration with
 // Options.NoTable (interface dispatch on the same scheduler kernel) and
-// as the generic reference loop. The fused kernels mutate the
-// protocol's state array in place (Tabular.TableStates aliases it), so
-// per-node accessors stay live mid-run; protocol-internal *counters*
-// are reconciled by kernel.sync — which the plan invokes before every
-// observer callback and at the end of the run — via
-// Tabular.ReloadCounters.
+// as the generic reference loop. The fused kernels run the protocol's
+// own core.Machine: they mutate its state bytes in place and store the
+// counters they keep in locals back on every return, so Output,
+// Leaders and Stable are exact at every observer callback and after the
+// run.
 
 package sim
 
@@ -32,41 +31,6 @@ import (
 	"popgraph/internal/xrand"
 )
 
-// tableMachine is the per-run protocol half shared by every fused
-// kernel: the packed transition cells, the live state array (aliasing
-// the protocol's own storage) and the two incrementally maintained
-// counters. Kernels hoist its fields into locals for the duration of a
-// chunk and store the counters back on exit.
-type tableMachine struct {
-	p       Tabular
-	cells   []uint32
-	states  []uint8
-	k       uint32
-	leaders int
-	gap     int // Σ gapWeight(state) − target; stable iff 0
-}
-
-// newTableMachine captures the protocol's compiled table and live state
-// after Reset, computing the initial counters by full scan.
-func newTableMachine(p Tabular) tableMachine {
-	tab := p.Table()
-	states := p.TableStates()
-	leaders, gap := tab.Counters(states)
-	return tableMachine{
-		p:       p,
-		cells:   tab.Cells(),
-		states:  states,
-		k:       uint32(tab.K()),
-		leaders: leaders,
-		gap:     gap,
-	}
-}
-
-// sync implements the kernel sync hook: hand the maintained counters
-// back to the protocol so Leaders/Stable/etc. are accurate at observer
-// callbacks and after the run.
-func (tm *tableMachine) sync() { tm.p.ReloadCounters(tm.leaders, tm.gap) }
-
 // The fused inner step, written out in each kernel loop (a shared
 // method would defeat the point). For initiator u and responder v:
 //
@@ -76,27 +40,30 @@ func (tm *tableMachine) sync() { tm.p.ReloadCounters(tm.leaders, tm.gap) }
 //	leaders += int(c>>16&0xff) - core.TableDeltaBias
 //	gap += int(c>>24) - core.TableDeltaBias
 //
-// mirroring core.TransitionTable.Apply byte for byte.
+// mirroring core.TransitionTable.Apply byte for byte. Each kernel hoists
+// the machine's cells, states and counters into locals for a chunk and
+// stores the counters back with SetCounters before it returns.
 
 // denseTableKernel fuses the dense-uniform sampling loop of denseKernel
 // with a transition table.
 // It embeds denseKernel for the sampling state, finish and stats.
 type denseTableKernel struct {
 	denseKernel
-	tm tableMachine
+	mach *core.Machine
 }
 
-func (kn *denseTableKernel) init(g *graph.Dense, drop float64, p Tabular) {
+func (kn *denseTableKernel) init(g *graph.Dense, drop float64, mach *core.Machine) {
 	kn.denseKernel.init(g, drop)
-	kn.tm = newTableMachine(p)
+	kn.mach = mach
 }
 
 //popcheck:kernel
 func (kn *denseTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
 	blk := &kn.blk
-	tm := &kn.tm
-	states, cells, kk := tm.states, tm.cells, tm.k
-	leaders, gap := tm.leaders, tm.gap
+	mach := kn.mach
+	tab := mach.Table()
+	states, cells, kk := mach.States(), tab.Cells(), uint32(tab.K())
+	leaders, gap := mach.Counters()
 	for i := int64(1); i <= k; i++ {
 		hi, lo := bits.Mul64(blk.next(r), kn.twoM)
 		for lo < kn.thresh {
@@ -115,35 +82,34 @@ func (kn *denseTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int64, b
 			kn.drops++
 		}
 		if gap == 0 {
-			tm.leaders, tm.gap = leaders, gap
+			mach.SetCounters(leaders, gap)
 			return i, true
 		}
 	}
-	tm.leaders, tm.gap = leaders, gap
+	mach.SetCounters(leaders, gap)
 	return k, false
 }
-
-func (kn *denseTableKernel) sync() { kn.tm.sync() }
 
 // cliqueTableKernel fuses cliqueKernel's two-draw pair construction
 // with a transition table.
 // It embeds cliqueKernel for the sampling state, finish and stats.
 type cliqueTableKernel struct {
 	cliqueKernel
-	tm tableMachine
+	mach *core.Machine
 }
 
-func (kn *cliqueTableKernel) init(g graph.Clique, drop float64, p Tabular) {
+func (kn *cliqueTableKernel) init(g graph.Clique, drop float64, mach *core.Machine) {
 	kn.cliqueKernel.init(g, drop)
-	kn.tm = newTableMachine(p)
+	kn.mach = mach
 }
 
 //popcheck:kernel
 func (kn *cliqueTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
 	blk := &kn.blk
-	tm := &kn.tm
-	states, cells, kk := tm.states, tm.cells, tm.k
-	leaders, gap := tm.leaders, tm.gap
+	mach := kn.mach
+	tab := mach.Table()
+	states, cells, kk := mach.States(), tab.Cells(), uint32(tab.K())
+	leaders, gap := mach.Counters()
 	for i := int64(1); i <= k; i++ {
 		hi, lo := bits.Mul64(blk.next(r), kn.n)
 		for lo < kn.threshN {
@@ -167,35 +133,34 @@ func (kn *cliqueTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int64, 
 			kn.drops++
 		}
 		if gap == 0 {
-			tm.leaders, tm.gap = leaders, gap
+			mach.SetCounters(leaders, gap)
 			return i, true
 		}
 	}
-	tm.leaders, tm.gap = leaders, gap
+	mach.SetCounters(leaders, gap)
 	return k, false
 }
-
-func (kn *cliqueTableKernel) sync() { kn.tm.sync() }
 
 // weightedTableKernel fuses weightedKernel's alias-table edge draw with
 // a transition table.
 // It embeds weightedKernel for the sampling state, finish and stats.
 type weightedTableKernel struct {
 	weightedKernel
-	tm tableMachine
+	mach *core.Machine
 }
 
-func (kn *weightedTableKernel) init(s *Weighted, drop float64, p Tabular) {
+func (kn *weightedTableKernel) init(s *Weighted, drop float64, mach *core.Machine) {
 	kn.weightedKernel.init(s, drop)
-	kn.tm = newTableMachine(p)
+	kn.mach = mach
 }
 
 //popcheck:kernel
 func (kn *weightedTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
 	blk := &kn.blk
-	tm := &kn.tm
-	states, cells, kk := tm.states, tm.cells, tm.k
-	leaders, gap := tm.leaders, tm.gap
+	mach := kn.mach
+	tab := mach.Table()
+	states, cells, kk := mach.States(), tab.Cells(), uint32(tab.K())
+	leaders, gap := mach.Counters()
 	for i := int64(1); i <= k; i++ {
 		hi, lo := bits.Mul64(blk.next(r), kn.m)
 		for lo < kn.thresh {
@@ -219,35 +184,34 @@ func (kn *weightedTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int64
 			kn.drops++
 		}
 		if gap == 0 {
-			tm.leaders, tm.gap = leaders, gap
+			mach.SetCounters(leaders, gap)
 			return i, true
 		}
 	}
-	tm.leaders, tm.gap = leaders, gap
+	mach.SetCounters(leaders, gap)
 	return k, false
 }
-
-func (kn *weightedTableKernel) sync() { kn.tm.sync() }
 
 // nodeClockTableKernel fuses nodeClockKernel's degree-proportional
 // initiator draw with a transition table.
 // It embeds nodeClockKernel for the sampling state, finish and stats.
 type nodeClockTableKernel struct {
 	nodeClockKernel
-	tm tableMachine
+	mach *core.Machine
 }
 
-func (kn *nodeClockTableKernel) init(s *NodeClock, drop float64, p Tabular) {
+func (kn *nodeClockTableKernel) init(s *NodeClock, drop float64, mach *core.Machine) {
 	kn.nodeClockKernel.init(s, drop)
-	kn.tm = newTableMachine(p)
+	kn.mach = mach
 }
 
 //popcheck:kernel
 func (kn *nodeClockTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
 	blk := &kn.blk
-	tm := &kn.tm
-	states, cells, kk := tm.states, tm.cells, tm.k
-	leaders, gap := tm.leaders, tm.gap
+	mach := kn.mach
+	tab := mach.Table()
+	states, cells, kk := mach.States(), tab.Cells(), uint32(tab.K())
+	leaders, gap := mach.Counters()
 	for i := int64(1); i <= k; i++ {
 		hi, lo := bits.Mul64(blk.next(r), kn.n)
 		for lo < kn.tn {
@@ -274,12 +238,10 @@ func (kn *nodeClockTableKernel) run(_ Protocol, r *xrand.Rand, _, k int64) (int6
 			kn.drops++
 		}
 		if gap == 0 {
-			tm.leaders, tm.gap = leaders, gap
+			mach.SetCounters(leaders, gap)
 			return i, true
 		}
 	}
-	tm.leaders, tm.gap = leaders, gap
+	mach.SetCounters(leaders, gap)
 	return k, false
 }
-
-func (kn *nodeClockTableKernel) sync() { kn.tm.sync() }

@@ -120,18 +120,21 @@ func TestEngineObserverAndDropOnFastPath(t *testing.T) {
 }
 
 // recordingObserver captures the callback cadence and, through the
-// protocol's O(1) leader counter, the protocol state visible at each
-// callback — so equivalence checks catch a kernel that applies steps in
-// the right order but observes at the wrong moment.
+// protocol's O(1) Leaders and Stable, the protocol state visible at
+// each callback — so equivalence checks catch a kernel that applies
+// steps in the right order but observes at the wrong moment, or that
+// has not stored its counters back when the observer runs.
 type recordingObserver struct {
 	p       Protocol
 	ts      []int64
 	leaders []int
+	stable  []bool
 }
 
 func (o *recordingObserver) Observe(t int64) {
 	o.ts = append(o.ts, t)
 	o.leaders = append(o.leaders, o.p.Leaders())
+	o.stable = append(o.stable, o.p.Stable())
 }
 
 func (o *recordingObserver) equal(other *recordingObserver) bool {
@@ -139,7 +142,7 @@ func (o *recordingObserver) equal(other *recordingObserver) bool {
 		return false
 	}
 	for i := range o.ts {
-		if o.ts[i] != other.ts[i] || o.leaders[i] != other.leaders[i] {
+		if o.ts[i] != other.ts[i] || o.leaders[i] != other.leaders[i] || o.stable[i] != other.stable[i] {
 			return false
 		}
 	}

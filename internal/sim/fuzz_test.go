@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/protocols/beauquier"
 	"popgraph/internal/protocols/majority"
@@ -26,11 +27,23 @@ func fuzzGraph(sel uint64) graph.Graph {
 	}
 }
 
-// fuzzProtocol derives a Tabular protocol (and a fresh-instance factory)
-// from sel for an n-node graph.
-func fuzzProtocol(sel uint64, n int) func() Tabular {
+// fuzzProtocol derives a Tabular protocol (a fresh-instance factory)
+// from sel for graph g, together with a stability oracle that shares no
+// code with the protocol's table: the six-state predicate computed from
+// token counts (core.TokenCounts.Stable), and for majority "one opinion
+// left" from an output scan — stable on every reachable configuration,
+// because the conserved strong difference keeps the winner's strong
+// tokens alive.
+func fuzzProtocol(sel uint64, g graph.Graph) (func() Tabular, func(Tabular) bool) {
+	n := g.N()
 	if sel%2 == 0 {
-		return func() Tabular { return beauquier.New() }
+		return func() Tabular { return beauquier.New() }, func(p Tabular) bool {
+			var c core.TokenCounts
+			for _, s := range p.TableMachine().States() {
+				c.Add(core.TokenState(s), 1)
+			}
+			return c.Stable()
+		}
 	}
 	ones := 1 + int(sel>>1)%(n-1)
 	if 2*ones == n {
@@ -40,16 +53,19 @@ func fuzzProtocol(sel uint64, n int) func() Tabular {
 	for i := 0; i < ones; i++ {
 		inputs[i] = true
 	}
-	return func() Tabular { return majority.New(inputs) }
+	return func() Tabular { return majority.New(inputs) }, func(p Tabular) bool {
+		l := CountLeaders(g, p)
+		return l == 0 || l == n
+	}
 }
 
 // FuzzTableEquivalence fuzzes the protocol-compilation layer: a random
 // small graph, a random Tabular protocol and a random interaction
-// script must behave byte-identically whether transitions execute
-// through the hand-written Step or through the compiled transition
-// table — per-step states and counters under a scripted drive, and
-// Results, outputs, counters and post-run generator state under full
-// fused vs interface-dispatch vs reference-loop runs.
+// script. Step by step, the machine's O(1) Leaders and Stable must
+// agree with scans that do not use the table; over full runs, the fused
+// table kernel, interface dispatch and the reference loop must agree
+// byte for byte on Results, outputs, counters and post-run generator
+// state.
 func FuzzTableEquivalence(f *testing.F) {
 	f.Add(uint64(0), uint64(1), uint16(700), uint8(0))
 	f.Add(uint64(1), uint64(2), uint16(513), uint8(1))
@@ -58,45 +74,26 @@ func FuzzTableEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, gsel, seed uint64, steps uint16, dropSel uint8) {
 		g := fuzzGraph(gsel)
 		n := g.N()
-		factory := fuzzProtocol(gsel>>8, n)
+		factory, stable := fuzzProtocol(gsel>>8, g)
 		script := int64(steps)%2048 + 1
 
-		// Part 1: scripted drive. One instance steps through the
-		// hand-written transition, the other through TransitionTable.Apply
-		// with incrementally maintained counters; every step must agree on
-		// states, the leader count and the stability verdict.
+		// Part 1: scripted drive through Step, checked after every
+		// interaction against the leader scan and the stability oracle.
 		r := xrand.New(seed)
-		pStep, pTab := factory(), factory()
-		pStep.Reset(g, xrand.New(seed))
-		pTab.Reset(g, xrand.New(seed))
-		tab := pTab.Table()
-		if tab == nil {
+		p := factory()
+		p.Reset(g, xrand.New(seed))
+		if p.TableMachine().Table() == nil {
 			t.Fatal("fuzzed protocol has no table")
 		}
-		states := pTab.TableStates()
-		leaders, gap := tab.Counters(states)
 		for i := int64(0); i < script; i++ {
 			u, v := g.SampleEdge(r)
-			pStep.Step(u, v)
-			dl, dg := tab.Apply(states, u, v)
-			leaders += dl
-			gap += dg
-			if leaders != pStep.Leaders() {
-				t.Fatalf("step %d (%d,%d): table leaders %d, Step leaders %d", i, u, v, leaders, pStep.Leaders())
+			p.Step(u, v)
+			if scan := CountLeaders(g, p); scan != p.Leaders() {
+				t.Fatalf("step %d (%d,%d): Leaders() %d, scan %d", i, u, v, p.Leaders(), scan)
 			}
-			if (gap == 0) != pStep.Stable() {
-				t.Fatalf("step %d (%d,%d): table gap %d (stable=%v), Step Stable %v",
-					i, u, v, gap, gap == 0, pStep.Stable())
+			if want := stable(p); p.Stable() != want {
+				t.Fatalf("step %d (%d,%d): Stable() %v, oracle %v", i, u, v, p.Stable(), want)
 			}
-			for w := 0; w < n; w++ {
-				if states[w] != pStep.TableStates()[w] {
-					t.Fatalf("step %d (%d,%d): node %d state %d (table) vs %d (Step)",
-						i, u, v, w, states[w], pStep.TableStates()[w])
-				}
-			}
-		}
-		if sl, sg := tab.Counters(states); sl != leaders || sg != gap {
-			t.Fatalf("incremental counters (%d,%d) drifted from scan (%d,%d)", leaders, gap, sl, sg)
 		}
 
 		// Part 2: full runs through the execution plans. The fused table
@@ -127,6 +124,10 @@ func FuzzTableEquivalence(f *testing.F) {
 			}
 			if scan := CountLeaders(g, p); scan != o.leaders {
 				t.Fatalf("noTable=%v reference=%v: Leaders() %d != scan %d", noTable, reference, o.leaders, scan)
+			}
+			if want := stable(p); o.stable != want || res.Stabilized != want {
+				t.Fatalf("noTable=%v reference=%v: Stable() %v, Stabilized %v, oracle %v",
+					noTable, reference, o.stable, res.Stabilized, want)
 			}
 			for i := range o.draws {
 				o.draws[i] = rr.Uint64()

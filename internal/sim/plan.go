@@ -20,6 +20,7 @@ import (
 	"math"
 	"sync"
 
+	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/telemetry"
 	"popgraph/internal/xrand"
@@ -88,20 +89,19 @@ func (pl *ExecPlan) ProtocolEngine(p Protocol) string {
 	return "step"
 }
 
-// fusable returns the Tabular view of p when this plan would fuse it
-// into a table kernel, nil otherwise. Fusion needs a specialized
-// scheduler kernel (the generic Source loop keeps interface dispatch),
-// no NoTable override, and a protocol that actually produces a table
-// for its current configuration.
-func (pl *ExecPlan) fusable(p Protocol) Tabular {
+// fusable returns p's machine when this plan would fuse it into a
+// table kernel, nil otherwise. Fusion needs a specialized scheduler
+// kernel (the generic Source loop keeps interface dispatch), no NoTable
+// override, and a Tabular protocol whose machine has a table.
+func (pl *ExecPlan) fusable(p Protocol) *core.Machine {
 	if pl.noTable || pl.mode == modeGeneric {
 		return nil
 	}
 	tp, ok := p.(Tabular)
-	if !ok || tp.Table() == nil {
+	if !ok || tp.TableMachine().Table() == nil {
 		return nil
 	}
-	return tp
+	return tp.TableMachine()
 }
 
 // MaxSteps returns the resolved step cap (Options.MaxSteps, or
@@ -224,27 +224,27 @@ var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // newKernel instantiates the per-run chunk runner in s; r is available
 // for scheduler Begin draws, mirroring the pre-plan Source construction
-// point (after Protocol.Reset). p has been Reset, so a Tabular
-// protocol's table and live state array are available; fused kernels
-// are selected here (per run, not per plan) because the protocol axis
-// is a Run argument, not a Compile one. The second return is the
-// dispatch label the flight recorder tallies runs under, e.g.
+// point (after Protocol.Reset). p has been Reset on the plan's graph,
+// so a Tabular protocol's machine holds its n states and counters;
+// fused kernels are selected here (per run, not per plan) because the
+// protocol axis is a Run argument, not a Compile one. The second return
+// is the dispatch label the flight recorder tallies runs under, e.g.
 // "dense-uniform/table".
 func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand, s *runScratch) (kernel, string) {
-	if tp := pl.fusable(p); tp != nil && len(tp.TableStates()) == pl.g.N() {
+	if m := pl.fusable(p); m != nil {
 		label := runLabels[pl.mode][1]
 		switch pl.mode {
 		case modeDenseUniform:
-			s.denseTable.init(pl.g.(*graph.Dense), pl.drop, tp)
+			s.denseTable.init(pl.g.(*graph.Dense), pl.drop, m)
 			return &s.denseTable, label
 		case modeCliqueUniform:
-			s.cliqueTable.init(pl.g.(graph.Clique), pl.drop, tp)
+			s.cliqueTable.init(pl.g.(graph.Clique), pl.drop, m)
 			return &s.cliqueTable, label
 		case modeWeighted:
-			s.weightedTable.init(pl.weighted, pl.drop, tp)
+			s.weightedTable.init(pl.weighted, pl.drop, m)
 			return &s.weightedTable, label
 		case modeNodeClock:
-			s.nodeClockTable.init(pl.nodeClock, pl.drop, tp)
+			s.nodeClockTable.init(pl.nodeClock, pl.drop, m)
 			return &s.nodeClockTable, label
 		}
 	}
@@ -311,15 +311,11 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 		t += done
 		chunks++
 		if pl.observer != nil && t%pl.every == 0 {
-			// Fused kernels mutate protocol state behind Step's back;
-			// reconcile counters so the observer sees live Leaders/Stable.
-			kern.sync()
 			pl.observer.Observe(t)
 			observes++
 		}
 	}
 	kern.finish(r)
-	kern.sync()
 	pl.flush(kern, label, t, chunks, observes)
 	scratchPool.Put(scratch)
 	if stabilized {
@@ -330,7 +326,7 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 
 // flush hands a completed run's accounting to the meter and closes any
 // trajectory-style observer. Called after the kernel has rewound the
-// generator and reconciled protocol counters, so finishers read exact
+// generator and stored its counters back, so finishers read exact
 // terminal state; the Result the caller returns is already fixed, and
 // nothing here touches r.
 func (pl *ExecPlan) flush(kern kernel, label string, steps, chunks, observes int64) {

@@ -57,40 +57,22 @@ type Protocol interface {
 // Tabular is a Protocol whose whole transition function fits in a
 // compiled core.TransitionTable — the constant-state regime of the
 // space-efficiency line of work (the six-state baseline of Theorem 16,
-// the star protocol, four-state majority). Execution plans fuse Tabular
+// the star protocol, four-state majority). Such a protocol embeds a
+// core.Machine, which is its Step, Output, Leaders and Stable and
+// provides this interface's one method. Execution plans fuse Tabular
 // protocols into the specialized scheduler kernels: the interaction hot
 // loop becomes two byte loads, one table lookup, two byte stores and a
-// counter-delta add, with no Protocol interface calls (see engine.go).
-// Protocols whose state space grows with n (identifier, fast) simply
-// don't implement it and keep the Step-dispatch kernels.
-//
-// Implementations generate the table from their own hand-written Step
-// logic (typically by probing Step over all state pairs), so the
-// transition rules keep a single source of truth.
+// counter-delta add on the machine's state and counters, with no
+// Protocol interface calls (see engine_table.go). Protocols whose state
+// space grows with n (identifier, fast) don't implement it and keep the
+// Step-dispatch kernels.
 type Tabular interface {
 	Protocol
-	// Table returns the compiled machine for the protocol's current
-	// configuration, or nil when it cannot be table-compiled (the run
-	// then uses interface dispatch). It must be callable both before
-	// Reset (plans report the engine choice up front) and after.
-	Table() *core.TransitionTable
-	// TableStates returns the live per-node state-index slice, aliasing
-	// the protocol's own storage; fused kernels mutate it in place, so
-	// Output and state accessors stay accurate mid-run. Valid after
-	// Reset; every entry is < Table().K().
-	TableStates() []uint8
-	// ReloadCounters restores the protocol's internal counters after a
-	// fused kernel mutated TableStates behind Step's back; the plan
-	// calls it before every observer callback and at the end of the
-	// run. leaders and gap are the kernel's incrementally maintained
-	// table counters (see core.TransitionTable); implementations
-	// reconcile any further counters from their state array, typically
-	// by an O(n) scan. That scan prices observation, not simulation: an
-	// attached observer with a fine-grained interval (ObserveEvery near
-	// 1) costs O(n) per callback on top of the observer's own work, so
-	// heavily instrumented large-n runs may prefer Options.NoTable,
-	// whose Step dispatch keeps counters in O(1) per step.
-	ReloadCounters(leaders, gap int)
+	// TableMachine returns the protocol's machine. Its Table is set at
+	// construction (plans report the engine choice before Reset) and is
+	// nil when the input admits no table; the run then uses interface
+	// dispatch. Its States and counters are valid after Reset.
+	TableMachine() *core.Machine
 }
 
 // EdgeSampler abstracts the scheduler's pair sampling; graph.Graph
@@ -136,7 +118,7 @@ type ProtocolBinder interface {
 
 // RunFinisher is an optional Observer extension: implementations are
 // called once after the run ends — after the kernel has rewound the
-// generator and reconciled protocol counters — with the final step
+// generator and stored its counters back — with the final step
 // count, so curves can close with a terminal sample even when the run
 // ends off the observation grid.
 type RunFinisher interface {

@@ -437,6 +437,24 @@ func TestAttachTrajectories(t *testing.T) {
 				i, last.Leaders)
 		}
 	}
+	checkTrajectoryGaps(t, recs, trajs)
+
+	// The gap comes from the protocol's table machine: present on every
+	// sample of the table-compiled protocols (star on its star graph,
+	// majority), absent for fast and identifier.
+	other := Spec{
+		Seed:      17,
+		Trials:    2,
+		Graphs:    []string{"star:12"},
+		Protocols: []string{"star", "majority:0.25", "fast", "identifier"},
+	}
+	otherTasks, err := other.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherTrajs := AttachTrajectories(otherTasks, 64)
+	checkTrajectoryGaps(t, Execute(otherTasks, runner.Pool{Workers: 2}), otherTrajs)
+
 	// A job with its own observer is left alone: nil slot, observer kept.
 	tasks = build()
 	obs := &countingObserver{}
@@ -451,6 +469,34 @@ func TestAttachTrajectories(t *testing.T) {
 	for i := 1; i < len(trajs); i++ {
 		if trajs[i] == nil {
 			t.Fatalf("trajectory %d missing", i)
+		}
+	}
+}
+
+// checkTrajectoryGaps asserts that every sample of a table-compiled
+// protocol's trajectory carries a gap, that a stabilized trial's
+// terminal gap is 0, and that other protocols' samples carry none.
+func checkTrajectoryGaps(t *testing.T, recs []results.Record, trajs []*telemetry.Trajectory) {
+	t.Helper()
+	tabular := map[string]bool{"six-state": true, "star-trivial": true, "four-state-majority": true}
+	for i, r := range recs {
+		if r.Error != "" {
+			t.Fatalf("record %d failed: %s", i, r.Error)
+		}
+		samples := trajs[i].Samples()
+		for _, smp := range samples {
+			if (smp.Gap != nil) != tabular[r.Protocol] {
+				t.Fatalf("record %d (%s): sample %+v, want a gap: %v", i, r.Protocol, smp, tabular[r.Protocol])
+			}
+		}
+		if !tabular[r.Protocol] {
+			continue
+		}
+		if !r.Stabilized {
+			t.Fatalf("record %d (%s) did not stabilize", i, r.Protocol)
+		}
+		if last := samples[len(samples)-1]; *last.Gap != 0 {
+			t.Fatalf("record %d (%s): stabilized trial ends with gap %d", i, r.Protocol, *last.Gap)
 		}
 	}
 }

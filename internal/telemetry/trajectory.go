@@ -37,11 +37,10 @@ type leaderCounter interface {
 	Leaders() int
 }
 
-// tabular is the structural slice of sim.Tabular used to compute the
-// gap potential at sample time.
+// tabular is sim.Tabular's one method, through which the curve reads
+// the machine's maintained gap at sample time.
 type tabular interface {
-	Table() *core.TransitionTable
-	TableStates() []uint8
+	TableMachine() *core.Machine
 }
 
 // DefaultTrajectorySamples caps a trial's curve length unless the
@@ -53,8 +52,8 @@ const DefaultTrajectorySamples = 512
 // the sampling interval (one graph size n per sample ≈ one unit of
 // parallel time is the natural choice). The runner binds it to the
 // trial's protocol before the run (see runner.Pool) and finalizes it
-// after, so each sample reads the leader counters the engine has
-// already reconciled for observer callbacks.
+// after, so each sample reads the protocol's live counters, which the
+// engine keeps exact at every observer callback.
 //
 // The curve is capped at max samples by stride doubling: when the
 // buffer fills, every other sample is dropped and the sampling stride
@@ -67,7 +66,7 @@ type Trajectory struct {
 	stride  int64
 	seen    int64
 	leaders leaderCounter
-	tab     tabular
+	machine *core.Machine // nil unless the protocol is table-compiled
 	samples []TrajectorySample
 }
 
@@ -84,14 +83,13 @@ func NewTrajectory(trial, maxSamples int) *Trajectory {
 }
 
 // Bind attaches the trial's protocol instance. p may be any value; only
-// the Leaders / Table+TableStates methods the curve needs are looked
-// up, so telemetry stays decoupled from sim's interfaces. Bind also
-// records the step-0 initial configuration; call it after the
-// protocol's Reset.
+// the Leaders / TableMachine methods the curve needs are looked up, so
+// telemetry stays decoupled from sim's interfaces. Bind also records
+// the step-0 initial configuration; call it after the protocol's Reset.
 func (tr *Trajectory) Bind(p any) {
 	tr.leaders, _ = p.(leaderCounter)
-	if tb, ok := p.(tabular); ok && tb.Table() != nil {
-		tr.tab = tb
+	if tb, ok := p.(tabular); ok && tb.TableMachine().Table() != nil {
+		tr.machine = tb.TableMachine()
 	}
 	if len(tr.samples) == 0 {
 		tr.record(0, false)
@@ -129,8 +127,8 @@ func (tr *Trajectory) record(step int64, final bool) {
 	if tr.leaders != nil {
 		s.Leaders = tr.leaders.Leaders()
 	}
-	if tr.tab != nil {
-		_, gap := tr.tab.Table().Counters(tr.tab.TableStates())
+	if tr.machine != nil {
+		_, gap := tr.machine.Counters()
 		s.Gap = &gap
 	}
 	tr.samples = append(tr.samples, s)

@@ -26,14 +26,16 @@ type Role = core.Role
 type TransitionTable = core.TransitionTable
 
 // Tabular is a Protocol whose whole transition function fits in a
-// compiled TransitionTable. Compiled execution plans fuse Tabular
-// protocols into the type-specialized scheduler kernels, removing every
-// interface call from the interaction hot loop; results are
-// byte-identical to interface dispatch (the protocol axis consumes no
-// randomness). The constant-state protocols — six-state, star, majority
-// — are Tabular; identifier and fast, whose state spaces grow with n,
-// are not. ExecPlan.ProtocolEngine reports which dispatch a run would
-// use; Options.NoTable forces interface dispatch.
+// compiled TransitionTable: it embeds the table machine that is its
+// Step, Output, Leaders and Stable, and its one method, TableMachine,
+// returns that machine. Compiled execution plans fuse Tabular protocols
+// into the type-specialized scheduler kernels, removing every interface
+// call from the interaction hot loop; results are byte-identical to
+// interface dispatch (the protocol axis consumes no randomness). The
+// constant-state protocols — six-state, star, majority — are Tabular;
+// identifier and fast, whose state spaces grow with n, are not.
+// ExecPlan.ProtocolEngine reports which dispatch a run would use;
+// Options.NoTable forces interface dispatch.
 type Tabular = sim.Tabular
 
 // Output roles.
@@ -170,11 +172,11 @@ func ProtocolFactory(spec string, g Graph, r *Rand) (factory func() Protocol, er
 	switch spec {
 	case "six-state", "sixstate", "six":
 		// A snapshot-loaded graph may carry the protocol's compiled
-		// transition table; install it so instances skip the Step-probing
-		// build. The table axis is input-independent for six-state (and
-		// star below) — majority's table depends on the input margin's
-		// sign, so it is never preloaded and comes from the per-sign
-		// table the package builds once per process.
+		// transition table; instances run it in place of the identical
+		// process-wide one. The table axis is input-independent for
+		// six-state (and star below) — majority's table depends on the
+		// input margin's sign, so it is never preloaded and comes from
+		// the per-sign table the package builds once per process.
 		if t := preloadedTable(g, "six-state"); t != nil {
 			if err := beauquier.New().UseTable(t); err != nil {
 				return nil, fmt.Errorf("popgraph: protocol %q on graph %q: %w", spec, g.Name(), err)
